@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .words import (PeriodicPattern, Word, count_words, enumerate_words,
                     read_batch, reverse, validate, word_from_pattern)
 from .engine import (ColonContext, ColonDot, DotColon, EntailedOption,
-                     InteriorColon, MoveClass, MoveSite, StoppedPairColon,
+                     InteriorColon, MoveClass, StoppedPairColon,
                      classify_colon, classify_move, entailed_options)
 from .grundy import (GrundyTable, PeriodicTable, PeriodReport, detect_period,
                      epsilon, epsilon_periodic, epsilon_plain, loony_plain,
@@ -20,7 +20,7 @@ __all__ = [
     "__version__",
     "Word", "PeriodicPattern", "validate", "reverse", "count_words",
     "enumerate_words", "word_from_pattern", "read_batch",
-    "MoveClass", "MoveSite", "ColonContext", "ColonDot", "DotColon",
+    "MoveClass", "ColonContext", "ColonDot", "DotColon",
     "StoppedPairColon", "InteriorColon", "EntailedOption",
     "classify_colon", "classify_move", "entailed_options",
     "GrundyTable", "epsilon", "epsilon_plain", "loony_plain", "mex",

@@ -68,6 +68,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if not 0 <= args.length <= experiments.MAX_SCAN_LENGTH:
+        raise UsageError(f"--length must be between 0 and "
+                         f"{experiments.MAX_SCAN_LENGTH}")
     tables = experiments.ScanTables(workers=args.workers)
     if args.distribution:
         row = experiments.value_distribution(args.length, tables)
@@ -89,7 +92,13 @@ def cmd_scan(args) -> int:
 
 
 def cmd_periodic(args) -> int:
-    stopped = frozenset(int(r) for r in args.stopped.split(",") if r != "")
+    if args.max_length < 0:
+        raise UsageError("--max-length must be nonnegative")
+    try:
+        stopped = frozenset(int(r) for r in args.stopped.split(",") if r != "")
+    except ValueError:
+        raise UsageError(f"--stopped must be comma-separated integers, "
+                         f"got {args.stopped!r}")
     try:
         pattern = PeriodicPattern(args.period, stopped, args.origin)
     except ValueError as exc:
@@ -170,6 +179,9 @@ def cmd_tables(args) -> int:
                         got == expected)
     if which == "p6":
         alpha_max = args.alpha_max or reference.P6_DEFAULT_MAX_ALPHA
+        if not 3 <= alpha_max <= max(reference.P6_MILESTONES):
+            raise UsageError(f"--alpha-max must be between 3 and "
+                             f"{max(reference.P6_MILESTONES)}")
         expected = {2 ** a: reference.P6_MILESTONES[a]
                     for a in range(3, alpha_max + 1)}
         pattern = PeriodicPattern(6, frozenset({4}))

@@ -4,11 +4,10 @@ Every move from a quiescent component [w] is entailing, but after the
 forced exchanges it is either loony (loses against best play regardless of
 the rest of the position) or equivalent to a non-entailing move to a Nim
 value.  The classification is a recursion over the colon components that
-the forced replies produce; this module implements it and the taxonomy of
-entailing components with their forced options.
-
-Value lookups go through a table object (see grundy.GrundyTable) that maps
-packed subwords to their Nim values and caches colon classifications.
+the forced replies produce.  It is computed once, for single words and
+periodic families alike, by grundy.PeriodicTable.move_classes; this module
+reads the classes a grundy.GrundyTable recorded, and transcribes the
+taxonomy of entailing components with their forced options.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .words import Word, reverse_bits, validate
-
-LOONY = -1  # internal encoding of the loony class; values are >= 0
+from .words import Word, validate
 
 
 @dataclass(frozen=True)
@@ -105,19 +102,6 @@ class InteriorColon:
 
 
 @dataclass(frozen=True)
-class MoveSite:
-    """A move in component ``word``: advance the pawn on file ``k``
-    (0-based)."""
-
-    word: Word
-    k: int
-
-    def __post_init__(self):
-        if not 0 <= self.k < len(self.word):
-            raise IndexError("file index out of range")
-
-
-@dataclass(frozen=True)
 class EntailedOption:
     """One forced reply: the component list it leaves behind (empty tuple
     means a move to 0)."""
@@ -164,133 +148,24 @@ def entailed_options(ctx) -> "list[EntailedOption]":
 
 
 # ---------------------------------------------------------------------------
-# int-level classification core
-#
-# Words travel as (bits, n) pairs; classes as ints with LOONY == -1.  The
-# table supplies eps[packed word] and caches colon[packed key].  Everything
-# is iterative so kilofile words do not hit the recursion limit.
-
-def _colon_key(und: int, bits: int, n: int) -> int:
-    return ((bits | (1 << n)) << 1) | und
-
-
-def colon_class_int(table, und: int, bits: int, n: int) -> int:
-    """Class of a move to the colon component (und, tail=(bits, n)).
-
-    Plain colon with tail i.w: the capture interprets the move as a move
-    to [w]; the advance hands the shorter colon back to the mover.  The
-    move is loony exactly when the advance is a non-loony move worth the
-    capture value.  Underlined colon with tail 0.i.w: the interposed
-    stopped pair flips the parity of the advance line, so the move is
-    non-loony exactly when the advance matches the capture value.
-    """
-    if und and n >= 1 and (bits & 1):
-        raise ValueError("file next to a stopped colon file cannot be "
-                         "stopped")
-    colon = table.colon
-    key = _colon_key(und, bits, n)
-    val = colon.get(key)
-    if val is not None:
-        return val
-    stack = []
-    while True:
-        if (n <= 1 and not und) or (n <= 2 and und):
-            val = LOONY
-            colon[key] = val
-            break
-        stack.append((und, bits, n, key))
-        if und:
-            und, bits, n = (bits >> 1) & 1, bits >> 2, n - 2
-        else:
-            und, bits, n = bits & 1, bits >> 1, n - 1
-        key = _colon_key(und, bits, n)
-        val = colon.get(key)
-        if val is not None:
-            break
-    eps = table.eps
-    for und, bits, n, key in reversed(stack):
-        cap = eps[(bits >> 1) | (1 << (n - 1))]
-        if und:
-            val = cap if val == cap else LOONY
-        else:
-            val = LOONY if val == cap else cap
-        colon[key] = val
-    return val
-
-
-def move_values_int(table, wbits: int, wn: int):
-    """Yield the class of the move at each file k = 0..wn-1 of the word."""
-    if wn == 1:
-        yield 0
-        return
-    eps = table.eps
-    # k = 0: end move, colon on file 0 with the rest as tail
-    yield colon_class_int(table, wbits & 1, wbits >> 1, wn - 1)
-    revpref = wbits & 1  # reverse of w[0:1]
-    for k in range(1, wn - 1):
-        a = (wbits >> (k - 1)) & 1
-        b = (wbits >> (k + 1)) & 1
-        c = (wbits >> k) & 1
-        ok = True
-        if a == 0:
-            # rev(w[0:k]) starts with a == 0; colon read outward to the left
-            if colon_class_int(table, c, revpref, k) == LOONY:
-                ok = False
-        if ok and b == 0:
-            if colon_class_int(table, c, wbits >> (k + 1), wn - k - 1) == LOONY:
-                ok = False
-        if ok:
-            e1 = eps[(wbits & ((1 << (k - 1)) - 1)) | (1 << (k - 1))]
-            e2 = eps[(wbits >> (k + 2)) | (1 << (wn - k - 2))]
-            yield e1 ^ e2
-        else:
-            yield LOONY
-        revpref = (revpref << 1) | ((wbits >> k) & 1)
-    # k = wn-1: mirror end move
-    yield colon_class_int(table, (wbits >> (wn - 1)) & 1, revpref, wn - 1)
-
-
-def move_class_int(table, wbits: int, wn: int, k: int) -> int:
-    if wn == 1:
-        return 0
-    if k == 0:
-        return colon_class_int(table, wbits & 1, wbits >> 1, wn - 1)
-    if k == wn - 1:
-        return colon_class_int(table, (wbits >> (wn - 1)) & 1,
-                               reverse_bits(wbits & ((1 << (wn - 1)) - 1),
-                                            wn - 1), wn - 1)
-    a = (wbits >> (k - 1)) & 1
-    b = (wbits >> (k + 1)) & 1
-    c = (wbits >> k) & 1
-    if a == 0:
-        side = colon_class_int(table, c,
-                               reverse_bits(wbits & ((1 << k) - 1), k), k)
-        if side == LOONY:
-            return LOONY
-    if b == 0:
-        side = colon_class_int(table, c, wbits >> (k + 1), wn - k - 1)
-        if side == LOONY:
-            return LOONY
-    e1 = table.eps[(wbits & ((1 << (k - 1)) - 1)) | (1 << (k - 1))]
-    e2 = table.eps[(wbits >> (k + 2)) | (1 << (wn - k - 2))]
-    return e1 ^ e2
-
-
-# ---------------------------------------------------------------------------
 # public wrappers
 
 def classify_colon(underlined: bool, tail: Word, table) -> MoveClass:
     """Classify a move to the colon component with the given tail.
 
-    The table must cover the proper subwords of ``tail``; it is filled on
-    demand.
+    The table is filled on demand with the word made of the colon file
+    and the tail.
     """
     if not tail.is_valid:
         raise ValueError("invalid word: adjacent stopped files at index "
                          f"{validate(tail)}")
-    table.ensure(tail)
-    return _from_int(colon_class_int(table, int(underlined), tail.bits,
-                                     tail.length))
+    if underlined and tail and tail[0] == 1:
+        raise ValueError("file next to a stopped colon file cannot be "
+                         "stopped")
+    word = Word([int(underlined)]) + tail
+    if word.key not in table.colon:
+        table.ensure(word)
+    return _from_int(table.colon[word.key])
 
 
 def classify_move(word: Word, k: int, table) -> MoveClass:
@@ -300,9 +175,4 @@ def classify_move(word: Word, k: int, table) -> MoveClass:
                          f"{validate(word)}")
     if not 0 <= k < len(word):
         raise IndexError("file index out of range")
-    table.ensure(word)
-    return _from_int(move_class_int(table, word.bits, word.length, k))
-
-
-def classify_site(site: MoveSite, table) -> MoveClass:
-    return classify_move(site.word, site.k, table)
+    return _from_int(table.move_classes(word)[k])

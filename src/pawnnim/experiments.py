@@ -23,7 +23,7 @@ from . import __version__
 from .grundy import PeriodicTable, PeriodReport, detect_period
 from .words import PeriodicPattern, Word, count_words
 
-_MAX_SCAN_LENGTH = 60  # value bitmasks live in uint64
+MAX_SCAN_LENGTH = 60  # value bitmasks live in uint64
 
 
 @dataclass
@@ -92,8 +92,8 @@ class ScanTables:
         return len(self.EPS) - 1
 
     def build(self, max_m: int) -> None:
-        if max_m > _MAX_SCAN_LENGTH:
-            raise ValueError(f"scan lengths above {_MAX_SCAN_LENGTH} are "
+        if max_m > MAX_SCAN_LENGTH:
+            raise ValueError(f"scan lengths above {MAX_SCAN_LENGTH} are "
                              f"not supported")
         for m in range(self.max_length + 1, max_m + 1):
             self._tier(m)
@@ -184,9 +184,6 @@ class ScanTables:
             out[1, lo:hi][keep] = np.where(adv_u == cap_u, cap_u, -1)
 
     # -- queries ------------------------------------------------------------
-
-    def epsilon_of_rank(self, m: int, rank: int) -> int:
-        return int(self.EPS[m][rank])
 
     def unrank(self, m: int, rank: int) -> Word:
         flags = []

@@ -1,6 +1,6 @@
-"""Nim values of components: the general recursion, the closed form for
-unstopped components, and the (phase, length) engine for periodic stopping
-patterns with period detection.
+"""Nim values of components: the (phase, length) engine that evaluates
+periodic stopping patterns and, as one period of a pattern, single words;
+the closed form for unstopped components; and period detection.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import engine
+from . import reference
 from .words import PeriodicPattern, Word, reverse_bits, validate
 
 
@@ -36,25 +36,25 @@ def nim_sum(a: int, b: int) -> int:
 
 
 class GrundyTable:
-    """Content-keyed memo of component values and colon classifications.
+    """Content-keyed store of component values and colon classes.
 
-    Keys are packed words, so equal subwords are shared across different
-    root words; sweeping all words of one length then costs O(m) per word
-    because every proper subword is already present.  Filling is bottom-up
-    by subword length, which keeps recursion depth flat and lets one
-    length tier be computed concurrently once the previous tiers are
-    frozen.
+    ``eps`` maps a packed subword to its value and ``colon`` maps the
+    packed word (colon file first, then the tail read inward) to the class
+    of a move to that colon component.  Entries are shared across root
+    words.  Each fill evaluates one word on a PeriodicTable whose period
+    is the word's smallest period, so a word with a short period, such as
+    an unstopped run, costs one phase per length; a word with no shorter
+    period is padded to period n+1 with an open file and costs O(n^3).
     """
 
     def __init__(self):
         self.eps = {1: 0}  # packed empty word -> 0
         self.colon = {}
-        self._done = set()
+        self._done = {}  # packed word -> its move-class row, -1 for loony
 
     def ensure(self, word: Word) -> None:
-        """Fill values for every contiguous subword of ``word``, in both
-        orientations (mirror-image tails arise from moves near the left
-        end)."""
+        """Record the value and both colon classes of every contiguous
+        subword of ``word``, and the word's own move-class row."""
         key = word.key
         if key in self._done:
             return
@@ -62,23 +62,37 @@ class GrundyTable:
             raise ValueError("invalid word: adjacent stopped files at index "
                              f"{validate(word)}")
         bits, n = word.bits, word.length
+        # a valid word repeating with period P < n never puts two stopped
+        # files side by side when repeated, since w[P-1] w[P] is in it
+        period = next((P for P in range(1, n)
+                       if not (bits ^ (bits >> P)) & ((1 << (n - P)) - 1)),
+                      n + 1)
+        top = min(period, n)
+        pattern = PeriodicPattern(
+            period, frozenset(t for t in range(top) if (bits >> t) & 1),
+            file_origin=period)  # phase t is word position t
+        table = PeriodicTable(pattern, n)
+        E, CF, CR = table.E.tolist(), table.CF.tolist(), table.CR.tolist()
         rbits = reverse_bits(bits, n)
-        eps = self.eps
-        for ln in range(1, n + 1):
-            mask = (1 << ln) - 1
-            top = 1 << ln
-            for s in range(n - ln + 1):
-                sub = (bits >> s) & mask
-                if sub | top not in eps:
-                    eps[sub | top] = self._compute(sub, ln)
-                # the reversed subword is a plain slice of the reversed word
-                rsub = (rbits >> (n - s - ln)) & mask
-                if rsub | top not in eps:
-                    eps[rsub | top] = self._compute(rsub, ln)
-        self._done.add(key)
+        eps, colon = self.eps, self.colon
+        # one cell per (phase, length), read at the first position s with
+        # that phase; colon words are the colon file plus the tail
+        for s in range(top):
+            for ln in range(1, n - s + 1):
+                eps[((bits >> s) & ((1 << ln) - 1)) | (1 << ln)] = E[s][ln]
+            for ln in range(n - s):  # tail s..s+ln-1 read leftward
+                colon[((rbits >> (n - 1 - s - ln)) & ((1 << (ln + 1)) - 1))
+                      | (1 << (ln + 1))] = CR[s][ln]
+        for s in range(1, top + 1):
+            for ln in range(n - s + 1):  # tail s..s+ln-1 read rightward
+                colon[((bits >> (s - 1)) & ((1 << (ln + 1)) - 1))
+                      | (1 << (ln + 1))] = CF[s % period][ln]
+        self._done[key] = table.move_classes([0], n)[0].tolist()
 
-    def _compute(self, bits: int, n: int) -> int:
-        return mex(engine.move_values_int(self, bits, n))
+    def move_classes(self, word: Word) -> list:
+        """Class of the move at each file of ``word``; -1 means loony."""
+        self.ensure(word)
+        return self._done[word.key]
 
     def epsilon(self, word: Word) -> int:
         value = self.eps.get(word.key)
@@ -99,14 +113,11 @@ def epsilon(word: "Word | str", table: Optional[GrundyTable] = None) -> int:
     return table.epsilon(w)
 
 
-_PLAIN_ZERO_RESIDUES = frozenset({0, 2, 3, 6, 9})
-
-
 def epsilon_plain(m: int) -> int:
     """Closed form for a run of m unstopped files; period 10 in m."""
     if m < 0:
         raise ValueError("length must be nonnegative")
-    return 0 if m % 10 in _PLAIN_ZERO_RESIDUES else 1
+    return 0 if m % 10 in reference.PLAIN_ZERO_RESIDUES else 1
 
 
 def loony_plain(m: int) -> bool:
@@ -167,34 +178,45 @@ class PeriodicTable:
             self._fill(length)
         self.n = n
 
+    def move_classes(self, phases, L: int) -> np.ndarray:
+        """Class of the move at each file of the length-L words starting at
+        the given phases: a (len(phases), L) array, -1 for loony.  Reads
+        only lengths below L.
+
+        An end move is classified by the colon class of the rest of the
+        word.  An interior move at file k is non-loony when each side
+        either has a stopped neighbour or a non-loony colon class, and
+        then it is worth the value of the two remaining sides, e1 ^ e2.
+        """
+        p, flags = self.p, self.flags
+        E, CF, CR = self.E, self.CF, self.CR
+        q = np.asarray(phases)
+        out = np.zeros((q.size, L), dtype=E.dtype)
+        if L <= 1:
+            return out  # the lone pawn's move is a move to 0
+        out[:, 0] = CF[(q + 1) % p, L - 1]
+        out[:, L - 1] = CR[q, L - 1]
+        kk = np.arange(1, L - 1)[None, :]
+        qq = q[:, None]
+        a = flags[(qq + kk - 1) % p]
+        b = flags[(qq + kk + 1) % p]
+        e1 = E[qq, kk - 1]
+        e2 = E[(qq + kk + 2) % p, L - 2 - kk]
+        sf = CF[(qq + kk + 1) % p, L - 1 - kk]
+        sr = CR[qq, kk]
+        ok = ((a == 1) | (sr >= 0)) & ((b == 1) | (sf >= 0))
+        out[:, 1:L - 1] = np.where(ok, e1 ^ e2, -1)
+        return out
+
     def _fill(self, L: int) -> None:
         p, flags = self.p, self.flags
         E, CF, CR = self.E, self.CF, self.CR
         q = np.arange(p)
-        v0 = CF[(q + 1) % p, L - 1]
-        vL = CR[q, L - 1]
-        if L >= 3:
-            kk = np.arange(1, L - 1)[None, :]
-            qq = q[:, None]
-            a = flags[(qq + kk - 1) % p]
-            b = flags[(qq + kk + 1) % p]
-            e1 = E[qq, kk - 1]
-            e2 = E[(qq + kk + 2) % p, L - 2 - kk]
-            sf = CF[(qq + kk + 1) % p, L - 1 - kk]
-            sr = CR[qq, kk]
-            ok = ((a == 1) | (sr >= 0)) & ((b == 1) | (sf >= 0))
-            xval = e1 ^ e2
-        present = np.empty(L + 2, dtype=bool)
-        for i in range(p):
-            present[:] = False
-            if 0 <= v0[i] <= L + 1:
-                present[v0[i]] = True
-            if 0 <= vL[i] <= L + 1:
-                present[vL[i]] = True
-            if L >= 3:
-                vv = xval[i][ok[i]]
-                present[vv[vv <= L + 1]] = True
-            E[i, L] = int(np.argmin(present))
+        # mex of each row: L moves leave one of the values 0..L unused
+        cls = self.move_classes(q, L)
+        seen = np.zeros((p, L + 2), dtype=bool)
+        seen[q[:, None], np.where((cls >= 0) & (cls <= L), cls, L + 1)] = True
+        E[:, L] = seen[:, :L + 1].argmin(axis=1)
         # colon classes for tails of length L, both reading directions
         und_f = flags[(q - 1) % p]
         cap = E[(q + 1) % p, L - 1]
@@ -316,21 +338,10 @@ def verify_period_window(table: PeriodicTable, pattern: PeriodicPattern,
 
 
 # ---------------------------------------------------------------------------
-# value-dump format: '#' provenance line, a '#phase-table:' checkpoint that
-# records what was computed (enough to rebuild and extend a run), then one
+# value-dump format, as experiments.write_report writes it for periodic
+# runs: '#' provenance line, a '#phase-table:' checkpoint that records what
+# was computed (enough to rebuild and extend a run), then one
 # 'length,value' record per line.
-
-def dump_values(values, pattern: PeriodicPattern, fh, version: str = "") -> None:
-    meta = {"period": pattern.period,
-            "stopped": sorted(pattern.stopped),
-            "file_origin": pattern.file_origin,
-            "max_length": len(values) - 1}
-    fh.write(f"# pawnnim{(' ' + version) if version else ''} periodic values "
-             f"{pattern.describe()}\n")
-    fh.write(f"#phase-table: {json.dumps(meta, sort_keys=True)}\n")
-    for length, value in enumerate(values):
-        fh.write(f"{length},{int(value)}\n")
-
 
 def load_dump(fh):
     """Read a value dump back: returns (pattern, values array).  Lines

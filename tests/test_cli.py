@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pawnnim.cli import main
 
 DIAG_STOPPED_ONLY = """\
@@ -117,6 +119,20 @@ def test_periodic_bad_pattern_usage_error(capsys):
                        "2,3", "--max-length", "10")
     assert code == 2
     assert "adjacent" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--length", "61", "--distribution"],
+    ["scan", "--length", "-1", "--first-occurrence"],
+    ["periodic", "--period", "6", "--stopped", "x", "--max-length", "10"],
+    ["periodic", "--period", "6", "--stopped", "4", "--max-length", "-5"],
+    ["tables", "--which", "p6", "--alpha-max", "20"],
+])
+def test_out_of_range_input_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_embed_command(capsys):

@@ -1,9 +1,8 @@
 import pytest
 
 from pawnnim.engine import (ColonContext, ColonDot, DotColon, EntailedOption,
-                            InteriorColon, MoveClass, MoveSite,
-                            StoppedPairColon, classify_colon, classify_move,
-                            classify_site, entailed_options)
+                            InteriorColon, MoveClass, StoppedPairColon,
+                            classify_colon, classify_move, entailed_options)
 from pawnnim.grundy import GrundyTable
 from pawnnim.words import Word, reverse
 
@@ -47,13 +46,6 @@ def test_move_examples(table):
     assert classify_move(Word("00"), 0, table) == LOONY
     assert classify_move(Word("0"), 0, table) == MoveClass.of(0)
     assert classify_move(Word("1"), 0, table) == MoveClass.of(0)
-
-
-def test_move_site_wrapper(table):
-    site = MoveSite(Word("1000"), 1)
-    assert classify_site(site, table) == MoveClass.of(1)
-    with pytest.raises(IndexError):
-        MoveSite(Word("1000"), 4)
 
 
 def test_move_rejects_bad_input(table):

@@ -3,11 +3,12 @@ import io
 import numpy as np
 import pytest
 
+from pawnnim.engine import classify_colon, classify_move
+from pawnnim.experiments import ScanTables, periodic_scan, write_report
 from pawnnim.grundy import (GrundyTable, InsufficientTableError,
-                            PeriodicTable, detect_period, dump_values,
-                            epsilon, epsilon_periodic, epsilon_plain,
-                            load_dump, loony_plain, mex, nim_sum,
-                            verify_period_window)
+                            PeriodicTable, detect_period, epsilon,
+                            epsilon_periodic, epsilon_plain, load_dump,
+                            loony_plain, mex, nim_sum, verify_period_window)
 from pawnnim.words import PeriodicPattern, Word, enumerate_words, reverse, \
     word_from_pattern
 
@@ -102,6 +103,30 @@ def test_memo_idempotent(table):
     assert epsilon(w, fresh) == first
 
 
+def test_single_words_agree_with_rank_scan():
+    # ScanTables indexes words by rank and shares no code with the phase
+    # tables behind GrundyTable, so it is an independent check
+    scan = ScanTables()
+    scan.build(14)
+    table = GrundyTable()
+
+    def as_int(cls):
+        return -1 if cls.is_loony else cls.value
+
+    for m in range(15):
+        for w in enumerate_words(m):
+            rank = scan.rank(w)
+            value = epsilon(w, table)
+            assert value == scan.EPS[m][rank], str(w)
+            assert mex(as_int(classify_move(w, k, table))
+                       for k in range(m)) == value, str(w)
+            for und in (0, 1):
+                if und and m and w[0] == 1:
+                    continue
+                assert (as_int(classify_colon(bool(und), w, table))
+                        == scan.CL[m][und, rank]), (und, str(w))
+
+
 # -- periodic families -------------------------------------------------------
 
 def test_epsilon_periodic_plain_matches_closed_form():
@@ -172,12 +197,12 @@ def test_periodic_table_save_load(tmp_path):
 
 def test_dump_round_trip():
     pattern = PeriodicPattern(6, frozenset({4}))
-    vals = epsilon_periodic(pattern, 25)
+    result = periodic_scan(pattern, 25, detect=False)
     buf = io.StringIO()
-    dump_values(vals, pattern, buf, version="0.0-test")
+    write_report(result, "csv", buf)
     text = buf.getvalue()
-    assert text.startswith("# pawnnim 0.0-test periodic values")
-    assert "#phase-table:" in text.splitlines()[1]
+    assert text.startswith("# pawnnim ")
+    assert text.splitlines()[1].startswith("#phase-table:")
     got_pattern, got_vals = load_dump(io.StringIO(text))
     assert got_pattern == pattern
-    assert np.array_equal(got_vals, vals)
+    assert np.array_equal(got_vals, result.values)
