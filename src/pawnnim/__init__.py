@@ -6,12 +6,10 @@ __version__ = "0.1.0"
 
 from .words import (PeriodicPattern, Word, count_words, enumerate_words,
                     read_batch, reverse, validate, word_from_pattern)
-from .engine import (ColonContext, ColonDot, DotColon, EntailedOption,
-                     InteriorColon, MoveClass, StoppedPairColon,
-                     classify_colon, classify_move, entailed_options)
+from .engine import MoveClass, classify_colon, classify_move
 from .grundy import (GrundyTable, PeriodicTable, PeriodReport, detect_period,
-                     epsilon, epsilon_periodic, epsilon_plain, loony_plain,
-                     mex, nim_sum, verify_period_window)
+                     epsilon, epsilon_plain, loony_plain, mex, nim_sum,
+                     verify_period_window)
 from .oracle import (BoardPosition, SumPosition, initial_position,
                      legal_moves, oracle_epsilon, oracle_is_loony, outcome)
 from .embed import ChessDiagram, embed, extract_components, render
@@ -20,11 +18,9 @@ __all__ = [
     "__version__",
     "Word", "PeriodicPattern", "validate", "reverse", "count_words",
     "enumerate_words", "word_from_pattern", "read_batch",
-    "MoveClass", "ColonContext", "ColonDot", "DotColon",
-    "StoppedPairColon", "InteriorColon", "EntailedOption",
-    "classify_colon", "classify_move", "entailed_options",
+    "MoveClass", "classify_colon", "classify_move",
     "GrundyTable", "epsilon", "epsilon_plain", "loony_plain", "mex",
-    "nim_sum", "PeriodicTable", "epsilon_periodic", "PeriodReport",
+    "nim_sum", "PeriodicTable", "PeriodReport",
     "detect_period", "verify_period_window",
     "BoardPosition", "SumPosition", "initial_position", "legal_moves",
     "outcome", "oracle_epsilon", "oracle_is_loony",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from . import __version__, engine, experiments, grundy, oracle, reference
 from .embed import EmbedError, embed as build_diagram, render
@@ -46,10 +47,24 @@ def _parse_word(text: str) -> Word:
     return w
 
 
-def _out_stream(path: str):
+@contextmanager
+def _output(path: str):
+    """The ``--output`` stream, opened before any computation starts so an
+    unwritable path is a usage error, not work thrown away."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {path}: {exc.strerror}")
+    with fh:
+        yield fh
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise UsageError("--workers must be at least 1")
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -71,23 +86,22 @@ def cmd_scan(args) -> int:
     if not 0 <= args.length <= experiments.MAX_SCAN_LENGTH:
         raise UsageError(f"--length must be between 0 and "
                          f"{experiments.MAX_SCAN_LENGTH}")
-    tables = experiments.ScanTables(workers=args.workers)
-    if args.distribution:
-        row = experiments.value_distribution(args.length, tables)
-        result = row
-    else:
-        result = experiments.first_occurrence(args.max_k, args.length, tables)
-        missing = [k for k in range(1, args.max_k + 1)
-                   if k not in result.lengths]
-        if missing:
-            print(f"values not reached by length {args.length}: {missing}",
-                  file=sys.stderr)
-    fh, close = _out_stream(args.output)
-    try:
+    if args.first_occurrence and args.max_k < 1:
+        raise UsageError("--max-k must be at least 1")
+    _check_workers(args.workers)
+    with _output(args.output) as fh:
+        tables = experiments.ScanTables(workers=args.workers)
+        if args.distribution:
+            result = experiments.value_distribution(args.length, tables)
+        else:
+            result = experiments.first_occurrence(args.max_k, args.length,
+                                                  tables)
+            missing = [k for k in range(1, args.max_k + 1)
+                       if k not in result.lengths]
+            if missing:
+                print(f"values not reached by length {args.length}: "
+                      f"{missing}", file=sys.stderr)
         experiments.write_report(result, args.format, fh)
-    finally:
-        if close:
-            fh.close()
     return OK
 
 
@@ -103,14 +117,10 @@ def cmd_periodic(args) -> int:
         pattern = PeriodicPattern(args.period, stopped, args.origin)
     except ValueError as exc:
         raise UsageError(str(exc))
-    result = experiments.periodic_scan(pattern, args.max_length,
-                                       detect=args.detect_period)
-    fh, close = _out_stream(args.output)
-    try:
+    with _output(args.output) as fh:
+        result = experiments.periodic_scan(pattern, args.max_length,
+                                           detect=args.detect_period)
         experiments.write_report(result, args.format, fh)
-    finally:
-        if close:
-            fh.close()
     if args.powers_of_two:
         for power, length in sorted(result.milestones.items()):
             print(f"first *{power} at length {length}", file=sys.stderr)
@@ -128,6 +138,8 @@ def cmd_periodic(args) -> int:
 
 def cmd_oracle(args) -> int:
     word = _parse_word(args.word)
+    if args.max_heap < 0:
+        raise UsageError("--max-heap must be nonnegative")
     try:
         value = oracle.oracle_epsilon(word, args.max_heap)
     except oracle.NonUniqueHeapError as exc:
@@ -150,6 +162,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_tables(args) -> int:
     which = args.which
+    _check_workers(args.workers)
     if which == "thm2":
         table = grundy.GrundyTable()
         limit = 2000
@@ -202,17 +215,12 @@ def cmd_embed(args) -> int:
     comps = [_parse_word(t) for t in args.words.split(",") if t]
     if not comps:
         raise UsageError("need at least one component word")
-    try:
-        diag = build_diagram(comps, args.height, args.width)
-    except EmbedError as exc:
-        raise UsageError(str(exc))
-    text = render(diag, args.format)
-    fh, close = _out_stream(args.output)
-    try:
-        fh.write(text + "\n")
-    finally:
-        if close:
-            fh.close()
+    with _output(args.output) as fh:
+        try:
+            diag = build_diagram(comps, args.height, args.width)
+        except EmbedError as exc:
+            raise UsageError(str(exc))
+        fh.write(render(diag, args.format) + "\n")
     return OK
 
 

@@ -142,6 +142,20 @@ class InsufficientTableError(ValueError):
     pass
 
 
+def _colon_class(und, cap, adv, adv_u):
+    """Class of a move to a colon component, per phase, -1 for loony.
+
+    ``cap`` is the value of the tail after the capture, ``adv`` the class
+    of the colon component one file shorter that the advance leaves, and
+    ``adv_u`` the class two files shorter that a stopped colon file
+    (``und`` 1) leaves after its forced advance.  A plain colon file is
+    loony when adv == cap, and worth cap otherwise; a stopped one is worth
+    cap when adv_u == cap, and loony otherwise.
+    """
+    return np.where(und == 1, np.where(adv_u == cap, cap, -1),
+                    np.where(adv == cap, -1, cap))
+
+
 class PeriodicTable:
     """Value and colon-class arrays for one stopping pattern, filled bottom
     up over lengths and extendable in place."""
@@ -217,28 +231,14 @@ class PeriodicTable:
         seen = np.zeros((p, L + 2), dtype=bool)
         seen[q[:, None], np.where((cls >= 0) & (cls <= L), cls, L + 1)] = True
         E[:, L] = seen[:, :L + 1].argmin(axis=1)
-        # colon classes for tails of length L, both reading directions
-        und_f = flags[(q - 1) % p]
-        cap = E[(q + 1) % p, L - 1]
-        adv = CF[(q + 1) % p, L - 1]
-        cf_plain = np.where(adv == cap, -1, cap)
-        if L >= 3:
-            adv_u = CF[(q + 2) % p, L - 2]
-            cf_und = np.where(adv_u == cap, cap, -1)
-        else:
-            cf_und = np.full(p, -1)
-        CF[:, L] = np.where(und_f == 1, cf_und, cf_plain)
-
-        und_r = flags[(q + L) % p]
-        cap = E[q, L - 1]
-        adv = CR[q, L - 1]
-        cr_plain = np.where(adv == cap, -1, cap)
-        if L >= 3:
-            adv_u = CR[q, L - 2]
-            cr_und = np.where(adv_u == cap, cap, -1)
-        else:
-            cr_und = np.full(p, -1)
-        CR[:, L] = np.where(und_r == 1, cr_und, cr_plain)
+        # colon classes for tails of length L, both reading directions.  CF
+        # and CR hold -1 at lengths 0 and 1, which equals no value, so every
+        # tail shorter than 3 behind a stopped colon file comes out loony
+        r = (q + 1) % p
+        CF[:, L] = _colon_class(flags[(q - 1) % p], E[r, L - 1], CF[r, L - 1],
+                                CF[(q + 2) % p, L - 2])
+        CR[:, L] = _colon_class(flags[(q + L) % p], E[q, L - 1], CR[q, L - 1],
+                                CR[q, L - 2])
 
     def values(self, phase: Optional[int] = None) -> np.ndarray:
         """Component values for lengths 0..n at the given start phase
@@ -256,27 +256,24 @@ class PeriodicTable:
 
     @classmethod
     def load(cls, path) -> "PeriodicTable":
-        data = np.load(path)
-        pattern = PeriodicPattern(int(data["period"]),
-                                  frozenset(int(r) for r in data["stopped"]),
-                                  int(data["file_origin"]))
+        """Read back a table written by ``save``.  Raises ValueError unless
+        E, CF and CR are signed integer arrays of shape (period, n + 1)."""
+        with np.load(path) as data:
+            pattern = PeriodicPattern(int(data["period"]),
+                                      frozenset(int(r) for r in data["stopped"]),
+                                      int(data["file_origin"]))
+            n = int(data["n"])
+            E, CF, CR = data["E"], data["CF"], data["CR"]
+        if n < 0:
+            raise ValueError(f"table length must be nonnegative, got {n}")
+        shape = (pattern.period, n + 1)
+        for name, arr in (("E", E), ("CF", CF), ("CR", CR)):
+            if arr.dtype.kind != "i" or arr.shape != shape:
+                raise ValueError(f"{name} must be a signed integer array of "
+                                 f"shape {shape}, got {arr.dtype} {arr.shape}")
         table = cls(pattern)
-        table.E = data["E"]
-        table.CF = data["CF"]
-        table.CR = data["CR"]
-        table.n = int(data["n"])
+        table.E, table.CF, table.CR, table.n = E, CF, CR, n
         return table
-
-
-def epsilon_periodic(pattern: PeriodicPattern, max_length: int,
-                     table: Optional[PeriodicTable] = None) -> np.ndarray:
-    """Values of word_from_pattern(pattern, len) for len = 0..max_length,
-    as an array indexed by length."""
-    if table is None:
-        table = PeriodicTable(pattern, max_length)
-    else:
-        table.extend(max_length)
-    return table.values()[:max_length + 1]
 
 
 @dataclass

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pawnnim import cli
 from pawnnim.cli import main
 
 DIAG_STOPPED_ONLY = """\
@@ -127,12 +128,38 @@ def test_periodic_bad_pattern_usage_error(capsys):
     ["periodic", "--period", "6", "--stopped", "x", "--max-length", "10"],
     ["periodic", "--period", "6", "--stopped", "4", "--max-length", "-5"],
     ["tables", "--which", "p6", "--alpha-max", "20"],
+    ["oracle", "--word", "10", "--max-heap", "-1"],
+    ["scan", "--length", "9", "--first-occurrence", "--max-k", "0"],
+    ["scan", "--length", "9", "--first-occurrence", "--max-k", "-2"],
+    ["scan", "--length", "9", "--distribution", "--workers", "0"],
+    ["tables", "--which", "first-occurrence", "--workers", "0"],
 ])
 def test_out_of_range_input_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--length", "9", "--distribution"],
+    ["periodic", "--period", "6", "--stopped", "4", "--max-length", "60"],
+    ["embed", "--words", "1000"],
+])
+def test_unwritable_output_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # the output is opened before anything is computed
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed before opening the output")
+    for owner, name in ((cli.experiments, "ScanTables"),
+                        (cli.experiments, "periodic_scan"),
+                        (cli, "build_diagram")):
+        monkeypatch.setattr(owner, name, unreachable)
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_embed_command(capsys):

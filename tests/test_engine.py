@@ -1,8 +1,6 @@
 import pytest
 
-from pawnnim.engine import (ColonContext, ColonDot, DotColon, EntailedOption,
-                            InteriorColon, MoveClass, StoppedPairColon,
-                            classify_colon, classify_move, entailed_options)
+from pawnnim.engine import MoveClass, classify_colon, classify_move
 from pawnnim.grundy import GrundyTable
 from pawnnim.words import Word, reverse
 
@@ -81,73 +79,3 @@ def test_moveclass_repr():
     with pytest.raises(ValueError):
         MoveClass.of(-1)
 
-
-# -- entailing-component taxonomy -------------------------------------------
-
-def test_entailed_options_plain_colon():
-    # capture resolves to the dot pair plus the rest; advance shortens
-    opts = entailed_options(ColonContext(False, Word("00")))
-    assert opts == [
-        EntailedOption((ColonDot(False), Word("0"))),
-        EntailedOption((ColonContext(False, Word("0")),)),
-    ]
-    opts = entailed_options(ColonContext(False, Word("10")))
-    assert opts[1] == EntailedOption((ColonContext(True, Word("0")),))
-
-
-def test_entailed_options_underlined_colon():
-    opts = entailed_options(ColonContext(True, Word("00")))
-    assert opts == [
-        EntailedOption((ColonDot(True), Word("0"))),
-        EntailedOption((StoppedPairColon(Word("0")),)),
-    ]
-
-
-def test_entailed_options_short_tails():
-    assert entailed_options(ColonContext(False, Word("0"))) == [
-        EntailedOption((ColonDot(False),)),
-        EntailedOption(()),
-    ]
-    assert entailed_options(ColonDot(False)) == [EntailedOption(())]
-    assert entailed_options(ColonDot(True)) == [EntailedOption(())]
-
-
-def test_entailed_options_stopped_pair():
-    assert entailed_options(StoppedPairColon(Word("0"))) == [
-        EntailedOption(())]
-    assert entailed_options(StoppedPairColon(Word("1"))) == [
-        EntailedOption(())]
-    assert entailed_options(StoppedPairColon(Word("00"))) == [
-        EntailedOption((ColonContext(False, Word("0")),))]
-    assert entailed_options(StoppedPairColon(Word("10"))) == [
-        EntailedOption((ColonContext(True, Word("0")),))]
-
-
-def test_entailed_options_dot_colon():
-    assert entailed_options(DotColon(False, Word("00"))) == [
-        EntailedOption((ColonContext(False, Word("00")),))]
-
-
-def test_entailed_options_interior():
-    opts = entailed_options(InteriorColon(Word("00"), False, Word("01")))
-    assert opts == [
-        EntailedOption((Word("0"), DotColon(False, Word("01")))),
-        EntailedOption((DotColon(False, Word("00")), Word("1"))),
-    ]
-    # one-file sides collapse to nothing on capture
-    opts = entailed_options(InteriorColon(Word("0"), False, Word("0")))
-    assert opts == [
-        EntailedOption((DotColon(False, Word("0")),)),
-        EntailedOption((DotColon(False, Word("0")),)),
-    ]
-    with pytest.raises(ValueError):
-        InteriorColon(Word(""), False, Word("0"))
-    with pytest.raises(ValueError):
-        InteriorColon(Word("1"), True, Word("0"))
-
-
-def test_entailed_options_rejects_junk():
-    with pytest.raises(TypeError):
-        entailed_options(Word("00"))
-    with pytest.raises(ValueError):
-        entailed_options(ColonContext(False, Word("")))

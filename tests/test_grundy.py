@@ -7,7 +7,7 @@ from pawnnim.engine import classify_colon, classify_move
 from pawnnim.experiments import ScanTables, periodic_scan, write_report
 from pawnnim.grundy import (GrundyTable, InsufficientTableError,
                             PeriodicTable, detect_period, epsilon,
-                            epsilon_periodic, epsilon_plain, load_dump,
+                            epsilon_plain, load_dump,
                             loony_plain, mex, nim_sum, verify_period_window)
 from pawnnim.words import PeriodicPattern, Word, enumerate_words, reverse, \
     word_from_pattern
@@ -129,18 +129,18 @@ def test_single_words_agree_with_rank_scan():
 
 # -- periodic families -------------------------------------------------------
 
-def test_epsilon_periodic_plain_matches_closed_form():
-    vals = epsilon_periodic(PeriodicPattern(1, frozenset()), 60)
+def test_periodic_table_plain_matches_closed_form():
+    vals = PeriodicTable(PeriodicPattern(1, frozenset()), 60).values()
     assert [int(v) for v in vals] == [epsilon_plain(m) for m in range(61)]
 
 
-def test_epsilon_periodic_agrees_with_direct(table):
+def test_periodic_table_agrees_with_direct(table):
     patterns = [PeriodicPattern(6, frozenset({4})),
                 PeriodicPattern(14, frozenset({0, 5})),
                 PeriodicPattern(4, frozenset({1})),
                 PeriodicPattern(5, frozenset({2}), file_origin=3)]
     for pattern in patterns:
-        vals = epsilon_periodic(pattern, 60)
+        vals = PeriodicTable(pattern, 60).values()
         for length in range(61):
             w = word_from_pattern(pattern, length)
             assert vals[length] == epsilon(w, table), (pattern, length)
@@ -193,6 +193,23 @@ def test_periodic_table_save_load(tmp_path):
     assert np.array_equal(back.E, t.E)
     back.extend(80)
     assert np.array_equal(back.E, PeriodicTable(pattern, 80).E)
+
+
+@pytest.mark.parametrize("change", [
+    {"E": np.zeros((3, 5), dtype=np.int32),
+     "CF": np.zeros((2, 2), dtype=np.int32)},
+    {"CR": np.zeros((6, 41))},
+    {"n": 50},
+    {"n": -1},
+])
+def test_periodic_table_load_rejects_tampered_file(tmp_path, change):
+    path = tmp_path / "p6.npz"
+    PeriodicTable(PeriodicPattern(6, frozenset({4})), 40).save(path)
+    with np.load(path) as data:
+        fields = dict(data)
+    np.savez(path, **{**fields, **change})
+    with pytest.raises(ValueError):
+        PeriodicTable.load(path)
 
 
 def test_dump_round_trip():
