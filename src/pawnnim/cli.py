@@ -28,13 +28,6 @@ class UsageError(Exception):
     pass
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("PAWNNIM_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _parse_word(text: str) -> Word:
     try:
         w = Word(text)
@@ -62,9 +55,23 @@ def _output(path: str):
         yield fh
 
 
-def _check_workers(workers: int) -> None:
+def _workers(args) -> int:
+    """Worker count from ``--workers``, else from PAWNNIM_WORKERS, else 1;
+    read only by the commands that scan, so a bad variable cannot break
+    the others."""
+    if args.workers is not None:
+        if args.workers < 1:
+            raise UsageError("--workers must be at least 1")
+        return args.workers
+    text = os.environ.get("PAWNNIM_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
     if workers < 1:
-        raise UsageError("--workers must be at least 1")
+        raise UsageError(f"PAWNNIM_WORKERS must be a positive integer, "
+                         f"got {text!r}")
+    return workers
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -88,9 +95,9 @@ def cmd_scan(args) -> int:
                          f"{experiments.MAX_SCAN_LENGTH}")
     if args.first_occurrence and args.max_k < 1:
         raise UsageError("--max-k must be at least 1")
-    _check_workers(args.workers)
+    workers = _workers(args)
     with _output(args.output) as fh:
-        tables = experiments.ScanTables(workers=args.workers)
+        tables = experiments.ScanTables(workers=workers)
         if args.distribution:
             result = experiments.value_distribution(args.length, tables)
         else:
@@ -162,7 +169,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_tables(args) -> int:
     which = args.which
-    _check_workers(args.workers)
+    workers = _workers(args)
     if which == "thm2":
         table = grundy.GrundyTable()
         limit = 2000
@@ -178,13 +185,13 @@ def cmd_tables(args) -> int:
                     for k in range(1, maxk + 1)}
         found = experiments.first_occurrence(
             maxk, max(expected.values()),
-            experiments.ScanTables(workers=args.workers))
+            experiments.ScanTables(workers=workers))
         return _verdict("first-occurrence", f"least lengths for 1..{maxk}",
                         dict(sorted(found.lengths.items())) == expected)
     if which == "distribution35":
         expected = reference.DISTRIBUTION_PERCENT_2SF[35]
         row = experiments.value_distribution(
-            35, experiments.ScanTables(workers=args.workers))
+            35, experiments.ScanTables(workers=workers))
         got = [experiments.two_sig_figs(100.0 * row.counts.get(v, 0)
                                         / row.total)
                for v in range(10)]
@@ -248,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--format", choices=formats, default=formats[0])
 
     def add_workers(sp):
-        sp.add_argument("--workers", type=int, default=_default_workers(),
+        sp.add_argument("--workers", type=int, default=None,
                         help="scan worker threads (default from "
-                             "PAWNNIM_WORKERS)")
+                             "PAWNNIM_WORKERS, else 1)")
 
     p = sub.add_parser("scan", help="exhaustive sweep over all words")
     p.add_argument("--length", type=int, required=True, metavar="M")

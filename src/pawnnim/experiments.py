@@ -76,8 +76,10 @@ class ScanTables:
     """
 
     def __init__(self, chunk_size: int = 1 << 20, workers: int = 1):
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         self.chunk_size = chunk_size
-        self.workers = max(1, workers)
+        self.workers = workers
         self.C = [1, 2]  # valid word counts by length
         self.EPS = [np.zeros(1, dtype=np.int8)]
         self.CL = [np.full((2, 1), -1, dtype=np.int8)]

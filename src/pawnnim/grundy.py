@@ -158,20 +158,41 @@ def _colon_class(und, cap, adv, adv_u):
 
 class PeriodicTable:
     """Value and colon-class arrays for one stopping pattern, filled bottom
-    up over lengths and extendable in place."""
+    up over lengths and extendable in place.
+
+    ``E``, ``CF`` and ``CR`` are indexed [start phase, length].  Next to
+    them the table keeps end-phase copies of ``E`` and ``CF``, indexed by
+    the phase of the file just past the subword's last file:
+    ``EE[e, l] = E[(e - l) % p, l]`` and ``CFE[e, l] = CF[(e - l) % p, l]``.
+    The right-hand pieces a move leaves in a length-L word all end at the
+    same file, so in this layout they are one reversed row slice.  The
+    copies are derived from ``E`` and ``CF`` whenever the arrays grow or
+    are loaded, and ``save`` writes only ``E``, ``CF`` and ``CR``.
+    """
 
     def __init__(self, pattern: PeriodicPattern, max_length: int = 0):
         self.pattern = pattern
         self.p = pattern.period
         self.flags = np.array([pattern.phase_flag(q) for q in range(self.p)],
-                              dtype=np.int64)
+                              dtype=bool)
         self.n = 0
         p = self.p
         self.E = np.zeros((p, 1), dtype=np.int32)
         self.CF = np.full((p, 1), -1, dtype=np.int32)
         self.CR = np.full((p, 1), -1, dtype=np.int32)
+        self._derive_end_phase()
         if max_length:
             self.extend(max_length)
+
+    def _derive_end_phase(self) -> None:
+        """Derive EE, CFE and the tiled flags from E, CF and their size."""
+        p, width = self.E.shape
+        e, l = np.ogrid[:p, :width]
+        rows = (e - l) % p
+        self.EE, self.CFE = self.E[rows, l], self.CF[rows, l]
+        # flags of files 0 .. p + width - 1 (file t has phase t % p), so the
+        # flags along any word of the table are one contiguous slice
+        self._tiled = np.resize(self.flags, p + width)
 
     def extend(self, n: int) -> None:
         if n <= self.n:
@@ -184,9 +205,10 @@ class PeriodicTable:
             arr = np.full((p, n + 1), -1, dtype=np.int32)
             arr[:, :self.n + 1] = getattr(self, name)
             setattr(self, name, arr)
+        self._derive_end_phase()
         start = self.n + 1
         if start <= 1 <= n:
-            self.E[:, 1] = 1
+            self.E[:, 1] = self.EE[:, 1] = 1
             start = 2
         for length in range(start, n + 1):
             self._fill(length)
@@ -201,43 +223,51 @@ class PeriodicTable:
         word.  An interior move at file k is non-loony when each side
         either has a stopped neighbour or a non-loony colon class, and
         then it is worth the value of the two remaining sides, e1 ^ e2.
+        The left side of file k is the subword at phase q of length k - 1;
+        the right side, and the colon tail read from it, end at file L - 1,
+        so they are reversed slices of the end-phase row (q + L) % p.
         """
-        p, flags = self.p, self.flags
-        E, CF, CR = self.E, self.CF, self.CR
+        p = self.p
         q = np.asarray(phases)
-        out = np.zeros((q.size, L), dtype=E.dtype)
+        out = np.zeros((q.size, L), dtype=self.E.dtype)
         if L <= 1:
             return out  # the lone pawn's move is a move to 0
-        out[:, 0] = CF[(q + 1) % p, L - 1]
-        out[:, L - 1] = CR[q, L - 1]
-        kk = np.arange(1, L - 1)[None, :]
-        qq = q[:, None]
-        a = flags[(qq + kk - 1) % p]
-        b = flags[(qq + kk + 1) % p]
-        e1 = E[qq, kk - 1]
-        e2 = E[(qq + kk + 2) % p, L - 2 - kk]
-        sf = CF[(qq + kk + 1) % p, L - 1 - kk]
-        sr = CR[qq, kk]
-        ok = ((a == 1) | (sr >= 0)) & ((b == 1) | (sf >= 0))
-        out[:, 1:L - 1] = np.where(ok, e1 ^ e2, -1)
+        out[:, 0] = self.CF[(q + 1) % p, L - 1]
+        out[:, L - 1] = self.CR[q, L - 1]
+        if L == 2:
+            return out
+        end = (q + L) % p
+        e1 = self.E[q, :L - 2]  # E[q, k - 1] for k = 1 .. L - 2
+        e2 = self.EE[end, L - 3::-1]  # E[(q + k + 2) % p, L - 2 - k]
+        sf = self.CFE[end, L - 2:0:-1]  # CF[(q + k + 1) % p, L - 1 - k]
+        sr = self.CR[q, 1:L - 1]  # CR[q, k]
+        win = np.lib.stride_tricks.sliding_window_view(self._tiled, L - 2)
+        ok = (win[q] | (sr >= 0)) & (win[q + 2] | (sf >= 0))
+        inner = out[:, 1:L - 1]
+        np.bitwise_xor(e1, e2, out=inner)
+        # ok - 1 is 0 or -1, all bits set, so this writes -1 for loony
+        np.bitwise_or(inner, np.subtract(ok, 1, dtype=inner.dtype), out=inner)
         return out
 
     def _fill(self, L: int) -> None:
         p, flags = self.p, self.flags
         E, CF, CR = self.E, self.CF, self.CR
         q = np.arange(p)
-        # mex of each row: L moves leave one of the values 0..L unused
+        end = (q + L) % p
+        # mex of each row: L moves leave one of the values 0..L unused, and
+        # no class exceeds L (e1 ^ e2 <= e1 + e2 <= L - 3).  Loony moves
+        # (-1) land in the spare last column of the row before.
         cls = self.move_classes(q, L)
         seen = np.zeros((p, L + 2), dtype=bool)
-        seen[q[:, None], np.where((cls >= 0) & (cls <= L), cls, L + 1)] = True
-        E[:, L] = seen[:, :L + 1].argmin(axis=1)
+        seen.ravel()[cls + (q * (L + 2))[:, None]] = True
+        E[:, L] = self.EE[end, L] = seen[:, :L + 1].argmin(axis=1)
         # colon classes for tails of length L, both reading directions.  CF
         # and CR hold -1 at lengths 0 and 1, which equals no value, so every
         # tail shorter than 3 behind a stopped colon file comes out loony
         r = (q + 1) % p
-        CF[:, L] = _colon_class(flags[(q - 1) % p], E[r, L - 1], CF[r, L - 1],
-                                CF[(q + 2) % p, L - 2])
-        CR[:, L] = _colon_class(flags[(q + L) % p], E[q, L - 1], CR[q, L - 1],
+        CF[:, L] = self.CFE[end, L] = _colon_class(
+            flags[q - 1], E[r, L - 1], CF[r, L - 1], CF[(q + 2) % p, L - 2])
+        CR[:, L] = _colon_class(flags[end], E[q, L - 1], CR[q, L - 1],
                                 CR[q, L - 2])
 
     def values(self, phase: Optional[int] = None) -> np.ndarray:
@@ -273,6 +303,7 @@ class PeriodicTable:
                                  f"shape {shape}, got {arr.dtype} {arr.shape}")
         table = cls(pattern)
         table.E, table.CF, table.CR, table.n = E, CF, CR, n
+        table._derive_end_phase()
         return table
 
 

@@ -34,7 +34,7 @@ P6_MILESTONES = {
     9: 8255, 10: 21208, 11: 61985, 12: 187193,
 }
 P6_DEFAULT_MAX_ALPHA = 8     # through length 3545 in the default suite
-P6_SLOW_MAX_ALPHA = 10       # 8255 and 21208 in the slow suite
+P6_SLOW_MAX_ALPHA = 11       # 8255, 21208 and 61985 in the slow suite
 
 # files 0 and 5 mod 14 stopped: the family of start phases repeats with
 # this period (single phase rows settle into divisors of it)

@@ -15,7 +15,7 @@ from pawnnim.grundy import (GrundyTable, detect_period, epsilon,
                             epsilon_plain, loony_plain)
 from pawnnim.reference import (DISTRIBUTION_PERCENT_2SF,
                                FIRST_OCCURRENCE_LENGTHS, P6_MILESTONES,
-                               P14_PERIOD)
+                               P6_SLOW_MAX_ALPHA, P14_PERIOD)
 from pawnnim.words import (PeriodicPattern, Word, count_words,
                            enumerate_words, reverse)
 
@@ -132,8 +132,9 @@ def test_a8_p6_milestones_default():
 
 @pytest.mark.slow
 def test_a8_p6_milestones_slow():
-    ok, detail = _p6_milestones(10)
-    report("A8-slow", ok, "first lengths reaching *512 and *1024; " + detail)
+    ok, detail = _p6_milestones(P6_SLOW_MAX_ALPHA)
+    report("A8-slow", ok, "first lengths reaching *512, *1024 and *2048; "
+                          + detail)
 
 
 def test_a9_periodicity():

@@ -141,6 +141,35 @@ def test_out_of_range_input_usage_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "abc", ""])
+@pytest.mark.parametrize("argv", [
+    ["scan", "--length", "9", "--distribution"],
+    ["tables", "--which", "thm2"],
+])
+def test_bad_workers_variable_usage_error(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("PAWNNIM_WORKERS", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: PAWNNIM_WORKERS") and err.count("\n") == 1
+
+
+def test_workers_variable_read_only_when_needed(capsys, monkeypatch):
+    monkeypatch.setenv("PAWNNIM_WORKERS", "abc")
+    code, out, _ = run(capsys, "eval", "1000")
+    assert code == 0 and out == "epsilon(1000) = 2\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("pawnnim ")
+    # an explicit --workers wins over the variable
+    scan = ["scan", "--length", "6", "--distribution"]
+    code, out1, _ = run(capsys, *scan, "--workers", "1")
+    assert code == 0
+    monkeypatch.setenv("PAWNNIM_WORKERS", "2")
+    assert run(capsys, *scan) == (0, out1, "")
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--length", "9", "--distribution"],
     ["periodic", "--period", "6", "--stopped", "4", "--max-length", "60"],

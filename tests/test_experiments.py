@@ -53,6 +53,12 @@ def test_workers_deterministic():
         assert np.array_equal(seq.EPS[m], par.EPS[m])
 
 
+def test_workers_must_be_positive():
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            ScanTables(workers=workers)
+
+
 def test_first_occurrence_small(tables):
     found = first_occurrence(4, 9, tables)
     assert dict(sorted(found.lengths.items())) == {1: 1, 2: 4, 3: 6, 4: 9}

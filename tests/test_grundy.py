@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -191,8 +192,63 @@ def test_periodic_table_save_load(tmp_path):
     assert back.pattern == pattern
     assert back.n == 40
     assert np.array_equal(back.E, t.E)
+    phases = np.arange(6)
+    assert np.array_equal(back.move_classes(phases, 40),
+                          t.move_classes(phases, 40))
     back.extend(80)
-    assert np.array_equal(back.E, PeriodicTable(pattern, 80).E)
+    fresh = PeriodicTable(pattern, 80)
+    # the fill reads copies of E and CF that save does not write, so a
+    # loaded table must rebuild them before it can classify or extend
+    for name in ("E", "CF", "CR"):
+        assert np.array_equal(getattr(back, name), getattr(fresh, name)), name
+
+
+@pytest.mark.parametrize("pattern, digest", [
+    (PeriodicPattern(6, frozenset({4})),
+     "c67b8380b2c3bb45f96934c0137958b775b057039f5e6a8a6fde22cb49e53f76"),
+    (PeriodicPattern(14, frozenset({0, 5})),
+     "0f9d6985c97ba4d6e611cf4d78657d0c3e187d7e22a70f8ff8aa414374c1c895"),
+    (PeriodicPattern(5, frozenset({2}), file_origin=3),
+     "3722af0f3ed956a15a17ff43be901d647cdbeeb22c71ff6fb05aa5b71686d415"),
+])
+def test_periodic_table_pinned(pattern, digest):
+    # sha256 of E, CF and CR to length 600 as int64: a change to how the
+    # tables are filled must reproduce them exactly
+    t = PeriodicTable(pattern, 600)
+    got = hashlib.sha256(b"".join(a.astype(np.int64).tobytes()
+                                  for a in (t.E, t.CF, t.CR))).hexdigest()
+    assert got == digest
+
+
+@pytest.mark.parametrize("pattern", [
+    PeriodicPattern(6, frozenset({4})),
+    PeriodicPattern(5, frozenset({0, 2})),
+    PeriodicPattern(1, frozenset()),
+])
+def test_move_classes_single_phase_matches_all_phases(pattern):
+    # the reversed slices behind move_classes have edge cases at short L;
+    # check them against the move rule read cell by cell by start phase
+    t = PeriodicTable(pattern, 200)
+    p, E, CF, CR = t.p, t.E, t.CF, t.CR
+
+    def direct(q, L):
+        if L <= 1:
+            return [0] * L
+        row = [int(CF[(q + 1) % p, L - 1])]
+        for k in range(1, L - 1):
+            ok = ((pattern.phase_flag(q + k - 1) or CR[q, k] >= 0)
+                  and (pattern.phase_flag(q + k + 1)
+                       or CF[(q + k + 1) % p, L - 1 - k] >= 0))
+            row.append(int(E[q, k - 1] ^ E[(q + k + 2) % p, L - 2 - k])
+                       if ok else -1)
+        return row + [int(CR[q, L - 1])]
+
+    for L in list(range(9)) + [200]:
+        every = t.move_classes(np.arange(p), L)
+        assert every.shape == (p, L)
+        for q in range(p):
+            assert every[q].tolist() == direct(q, L), (q, L)
+            assert np.array_equal(t.move_classes([q], L)[0], every[q]), (q, L)
 
 
 @pytest.mark.parametrize("change", [
