@@ -8,8 +8,8 @@ numbers, which is why exhaustive scans stop being fun near length 40.
 
 import sys
 
-from pawnnim.experiments import (ScanTables, export, first_occurrence,
-                                 two_sig_figs, value_distribution)
+from pawnnim.experiments import (ScanTables, first_occurrence, two_sig_figs,
+                                 value_distribution, write_report)
 from pawnnim.words import count_words
 
 print("words per length:",
@@ -31,7 +31,7 @@ for v, c in sorted(row.counts.items()):
 
 # Reports serialize as CSV or JSON-lines with a provenance header.
 print("\nCSV export of the first-occurrence table:")
-export(found, "csv", "-")
+write_report(found, "csv", sys.stdout)
 sys.stdout.flush()
 
 # The length-35 row (24 million words, about a minute) reproduces the

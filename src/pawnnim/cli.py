@@ -171,12 +171,11 @@ def cmd_tables(args) -> int:
     which = args.which
     workers = _workers(args)
     if which == "thm2":
-        table = grundy.GrundyTable()
         limit = 2000
-        grundy.epsilon(Word("0" * limit), table)  # fills all shorter runs
+        values = grundy.PeriodicTable(PeriodicPattern(1, frozenset()),
+                                      limit).values()
         bad = [m for m in range(limit + 1)
-               if grundy.epsilon(Word("0" * m), table)
-               != grundy.epsilon_plain(m)]
+               if values[m] != grundy.epsilon_plain(m)]
         return _verdict("thm2", f"recursion vs closed form to m={limit}",
                         not bad)
     if which == "first-occurrence":

@@ -3,11 +3,11 @@
 Every move from a quiescent component [w] is entailing, but after the
 forced exchanges it is either loony (loses against best play regardless of
 the rest of the position) or equivalent to a non-entailing move to a Nim
-value.  grundy.PeriodicTable.move_classes computes that class, for single
-words and periodic families alike, and a grundy.GrundyTable records it.
-This module reads the recorded classes: ``classify_move`` for a move on a
-file of a component, ``classify_colon`` for a move to a colon component,
-each as a ``MoveClass``.
+value.  grundy.PeriodicTable computes these classes, for single words and
+periodic families alike, and a grundy.GrundyTable reads them for one word
+from the phase table of the word's pattern.  This module turns them into
+``MoveClass`` values: ``classify_move`` for a move on a file of a
+component, ``classify_colon`` for a move to a colon component.
 """
 
 from __future__ import annotations
@@ -47,21 +47,16 @@ def _from_int(c: int) -> MoveClass:
 
 
 def classify_colon(underlined: bool, tail: Word, table) -> MoveClass:
-    """Classify a move to the colon component with the given tail.
-
-    The table is filled on demand with the word made of the colon file
-    and the tail.
-    """
+    """Classify a move to the colon component with the given tail, read
+    from the table's entry for the word made of the colon file and the
+    tail."""
     if not tail.is_valid:
         raise ValueError("invalid word: adjacent stopped files at index "
                          f"{validate(tail)}")
     if underlined and tail and tail[0] == 1:
         raise ValueError("file next to a stopped colon file cannot be "
                          "stopped")
-    word = Word([int(underlined)]) + tail
-    if word.key not in table.colon:
-        table.ensure(word)
-    return _from_int(table.colon[word.key])
+    return _from_int(table.colon_class(Word([int(underlined)]) + tail))
 
 
 def classify_move(word: Word, k: int, table) -> MoveClass:

@@ -12,7 +12,6 @@ array operations per word with every subword value shared across words.
 from __future__ import annotations
 
 import json
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -43,9 +42,6 @@ class DistributionRow:
     length: int
     counts: dict
     total: int
-
-    def proportions(self) -> dict:
-        return {v: c / self.total for v, c in sorted(self.counts.items())}
 
 
 @dataclass
@@ -212,11 +208,9 @@ class ScanTables:
 
 
 def first_occurrence(max_k: int, max_m: int,
-                     tables: Optional[ScanTables] = None,
-                     workers: int = 1) -> FirstOccurrenceTable:
+                     tables: ScanTables) -> FirstOccurrenceTable:
     """Scan lengths 1..max_m for the least length attaining each value
     1..max_k, with a witness word; stops early once all are found."""
-    tables = tables or ScanTables(workers=workers)
     result = FirstOccurrenceTable()
     for m in range(1, max_m + 1):
         missing = [k for k in range(1, max_k + 1) if k not in result.lengths]
@@ -233,10 +227,8 @@ def first_occurrence(max_k: int, max_m: int,
     return result
 
 
-def value_distribution(m: int, tables: Optional[ScanTables] = None,
-                       workers: int = 1) -> DistributionRow:
+def value_distribution(m: int, tables: ScanTables) -> DistributionRow:
     """Exact counts of each value over all valid words of length m."""
-    tables = tables or ScanTables(workers=workers)
     tables.build(m)
     counts = np.bincount(tables.EPS[m].astype(np.int64))
     return DistributionRow(
@@ -281,18 +273,8 @@ def _provenance(kind: str, params: str) -> str:
     return f"# pawnnim {__version__} {kind} {params}"
 
 
-def export(result, format: str = "csv", path: str = "-") -> None:
-    """Write a scan result; ``path`` '-' means standard output."""
-    if format not in ("csv", "jsonl"):
-        raise ValueError(f"unknown format {format!r}")
-    if path == "-":
-        write_report(result, format, sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            write_report(result, format, fh)
-
-
 def write_report(result, format: str, fh) -> None:
+    """Write a scan result to ``fh`` as CSV or JSON-lines."""
     if isinstance(result, FirstOccurrenceTable):
         fh.write(_provenance(
             "first-occurrence",

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import reference
-from .words import PeriodicPattern, Word, reverse_bits, validate
+from .words import PeriodicPattern, Word, validate
 
 
 def mex(values) -> int:
@@ -36,25 +36,29 @@ def nim_sum(a: int, b: int) -> int:
 
 
 class GrundyTable:
-    """Content-keyed store of component values and colon classes.
+    """Values and move classes of single words, read from phase tables.
 
-    ``eps`` maps a packed subword to its value and ``colon`` maps the
-    packed word (colon file first, then the tail read inward) to the class
-    of a move to that colon component.  Entries are shared across root
-    words.  Each fill evaluates one word on a PeriodicTable whose period
-    is the word's smallest period, so a word with a short period, such as
-    an unstopped run, costs one phase per length; a word with no shorter
-    period is padded to period n+1 with an open file and costs O(n^3).
+    A word is one period of a periodic stopping pattern: its smallest
+    period P when P < n, else the word padded with an open file to period
+    n + 1.  ``ensure`` fills the pattern's ``PeriodicTable`` to the word's
+    length and records, under the word's key, the value ``E[0, n]`` in
+    ``eps`` and, for a nonempty word, the class ``CF[1 % P, n - 1]`` of a
+    move to the colon component with colon file ``word[0]`` and tail
+    ``word[1:]`` in ``colon``.  Tables are kept per pattern and extend in
+    place, so words of one pattern (runs of open files, prefixes of
+    ``1000...``) share one table.  A word with a short period costs one
+    phase per length; a word with no shorter period costs O(n^3).
     """
 
     def __init__(self):
-        self.eps = {1: 0}  # packed empty word -> 0
-        self.colon = {}
-        self._done = {}  # packed word -> its move-class row, -1 for loony
+        self.eps = {}  # word key -> value
+        self.colon = {}  # word key -> colon class, -1 for loony
+        self._done = {}  # word key -> the phase table it was read from
+        self._tables = {}  # PeriodicPattern -> PeriodicTable
 
     def ensure(self, word: Word) -> None:
-        """Record the value and both colon classes of every contiguous
-        subword of ``word``, and the word's own move-class row."""
+        """Fill the phase table of ``word`` to its length and record the
+        word's value and colon class."""
         key = word.key
         if key in self._done:
             return
@@ -71,33 +75,30 @@ class GrundyTable:
         pattern = PeriodicPattern(
             period, frozenset(t for t in range(top) if (bits >> t) & 1),
             file_origin=period)  # phase t is word position t
-        table = PeriodicTable(pattern, n)
-        E, CF, CR = table.E.tolist(), table.CF.tolist(), table.CR.tolist()
-        rbits = reverse_bits(bits, n)
-        eps, colon = self.eps, self.colon
-        # one cell per (phase, length), read at the first position s with
-        # that phase; colon words are the colon file plus the tail
-        for s in range(top):
-            for ln in range(1, n - s + 1):
-                eps[((bits >> s) & ((1 << ln) - 1)) | (1 << ln)] = E[s][ln]
-            for ln in range(n - s):  # tail s..s+ln-1 read leftward
-                colon[((rbits >> (n - 1 - s - ln)) & ((1 << (ln + 1)) - 1))
-                      | (1 << (ln + 1))] = CR[s][ln]
-        for s in range(1, top + 1):
-            for ln in range(n - s + 1):  # tail s..s+ln-1 read rightward
-                colon[((bits >> (s - 1)) & ((1 << (ln + 1)) - 1))
-                      | (1 << (ln + 1))] = CF[s % period][ln]
-        self._done[key] = table.move_classes([0], n)[0].tolist()
+        table = self._tables.get(pattern)
+        if table is None:
+            table = self._tables[pattern] = PeriodicTable(pattern)
+        table.extend(n)
+        # a shared table may have grown past n, so read lengths <= n only
+        self.eps[key] = int(table.E[0, n])
+        if n:
+            self.colon[key] = int(table.CF[1 % period, n - 1])
+        self._done[key] = table
 
     def move_classes(self, word: Word) -> list:
         """Class of the move at each file of ``word``; -1 means loony."""
         self.ensure(word)
-        return self._done[word.key]
+        return self._done[word.key].move_classes([0], word.length)[0].tolist()
+
+    def colon_class(self, word: Word) -> int:
+        """Class of a move to the colon component whose colon file is
+        ``word[0]`` and whose tail is ``word[1:]``; -1 means loony."""
+        if not word:
+            raise ValueError("a colon component needs its colon file")
+        self.ensure(word)
+        return self.colon[word.key]
 
     def epsilon(self, word: Word) -> int:
-        value = self.eps.get(word.key)
-        if value is not None:
-            return value
         self.ensure(word)
         return self.eps[word.key]
 

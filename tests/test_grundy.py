@@ -128,6 +128,32 @@ def test_single_words_agree_with_rank_scan():
                         == scan.CL[m][und, rank]), (und, str(w))
 
 
+@pytest.mark.parametrize("unit", ["0", "1000", "0010"])
+def test_shared_table_reads_each_word_at_its_length(unit):
+    # words of one pattern share a phase table that a long word has grown
+    # past the shorter ones; each must be read at its own length
+    period = len(unit)
+    pattern = PeriodicPattern(
+        period, frozenset(t for t, f in enumerate(unit) if f == "1"),
+        file_origin=period)
+    table = GrundyTable()
+    for m in [40, *range(40), 60]:
+        w = Word((unit * 60)[:m])
+        fresh = PeriodicTable(pattern, m)
+        assert table.epsilon(w) == fresh.E[0, m], m
+        assert table.move_classes(w) == fresh.move_classes([0], m)[0].tolist()
+        if m:
+            assert table.colon_class(w) == fresh.CF[1 % period, m - 1], m
+
+
+def test_long_word_records_one_entry():
+    table = GrundyTable()
+    table.ensure(Word("1000" * 50))
+    assert len(table.eps) == 1 and len(table.colon) == 1
+    with pytest.raises(ValueError):
+        table.colon_class(Word(""))  # the empty word has no colon file
+
+
 # -- periodic families -------------------------------------------------------
 
 def test_periodic_table_plain_matches_closed_form():
