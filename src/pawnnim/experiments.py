@@ -66,12 +66,22 @@ class ScanTables:
 
     EPS[m][r] is the value of the rank-r word of length m.  CL[m] is a
     (2, count) array of colon classes for tails of length m, indexed by
-    the colon-file flag and the tail's rank; -1 encodes loony.  Tiers are
-    filled in rank chunks, and chunks are independent, so worker threads
-    and sequential runs produce identical tables.
+    the colon-file flag and the tail's rank; -1 encodes loony.  A stopped
+    first file adds C[m] to a rank, so the flat index ``c * C[m] + r`` into
+    ``CL[m].ravel()`` is the rank of the length-(m + 1) word made of the
+    colon file and the tail.  The sweep therefore reads every colon class
+    with one flat gather at a rank it already holds: a suffix of the word
+    or a reversed prefix.
+
+    Tiers are filled in chunks of ``chunk_size`` consecutive ranks.  A
+    chunk holds its file bits as one bool (m, chunk) array and fifteen
+    chunk-length rank and scratch arrays that every step of the sweep
+    reuses in place, about 80 + m bytes per rank: 7 MB for the default
+    2^16 ranks at m = 30.  Chunks are independent, so worker threads and
+    sequential runs produce identical tables.
     """
 
-    def __init__(self, chunk_size: int = 1 << 20, workers: int = 1):
+    def __init__(self, chunk_size: int = 1 << 16, workers: int = 1):
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         self.chunk_size = chunk_size
@@ -122,64 +132,91 @@ class ScanTables:
             list(pool.map(lambda span: fn(*span), spans))
 
     def _eps_chunk(self, m: int, lo: int, hi: int, out: np.ndarray) -> None:
-        C = self.C
-        EPS, CL = self.EPS, self.CL
-        s_cur = np.arange(lo, hi, dtype=np.int64)  # rank of suffix w[j:]
-        s_prev = None
-        bits = []
+        C, EPS = self.C, self.EPS
+        CL = [cl.ravel() for cl in self.CL]
+        n = hi - lo
+        bits = np.empty((m, n), dtype=bool)  # bits[j]: file j is stopped
+        # ranks[j % 3] holds the rank of the suffix w[j:] while it is read
+        ranks = [np.arange(lo, hi, dtype=np.int64),
+                 np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)]
 
-        def advance():
-            nonlocal s_cur, s_prev
-            j = len(bits)
-            b = s_cur >= C[m - 1 - j]
-            bits.append(b.astype(np.int8))
-            s_prev, s_cur = s_cur, s_cur - b * C[m - 1 - j]
+        def suffix(j):
+            # w[j:] has rank >= C[m-1-j] exactly when w[j] is stopped
+            s, rest = ranks[j % 3], ranks[(j + 1) % 3]
+            np.greater_equal(s, C[m - 1 - j], out=bits[j])
+            np.multiply(bits[j], C[m - 1 - j], out=rest)
+            np.subtract(s, rest, out=rest)
 
-        def fold(mask, cls):
-            ok = cls >= 0
-            sh = np.where(ok, cls, 0).astype(np.uint64)
-            return mask | np.where(ok, np.uint64(1) << sh, np.uint64(0))
+        mask = np.zeros(n, dtype=np.uint64)  # bit v set: some move is worth v
+        shifted = np.empty(n, dtype=np.uint64)
 
-        advance()  # bits[0]; s_cur = rank of w[1:]
-        mask = np.zeros(hi - lo, dtype=np.uint64)
-        mask = fold(mask, CL[m - 1][bits[0], s_cur])  # end move at file 0
-        advance()  # bits[1]; s_cur = rank of w[2:]
-        a_pre = np.zeros(hi - lo, dtype=np.int64)   # prefix rank A[k-1]
-        b_aux = np.zeros(hi - lo, dtype=np.int64)
-        rr = bits[0].astype(np.int64) * C[0]        # reversed-prefix rank rr[k]
+        def fold(cls):
+            # a loony class, -1, is a shift by 255, which numpy defines as 0
+            np.left_shift(np.uint64(1), cls.view(np.uint8), out=shifted)
+            np.bitwise_or(mask, shifted, out=mask)
+
+        # end move at file 0: colon file w[0] with tail w[1:] is the word
+        fold(CL[m - 1][lo:hi])
+        suffix(0)
+        suffix(1)
+        rr = bits[0].astype(np.int64)  # rank of reversed w[:k]; C[0] == 1
+        a_pre = np.zeros(n, dtype=np.int64)  # rank of w[:k-1]
+        b_aux = np.zeros(n, dtype=np.int64)
+        weighted = np.empty(n, dtype=np.int64)
+        side_rev, side_fwd = np.empty(n, np.int8), np.empty(n, np.int8)
+        left, right = np.empty(n, np.int8), np.empty(n, np.int8)
+        ok, ok_fwd = np.empty(n, bool), np.empty(n, bool)
         for k in range(1, m - 1):
-            advance()  # bits[k+1]; s_prev = rank w[k+1:], s_cur = rank w[k+2:]
+            suffix(k + 1)
             a, c, b = bits[k - 1], bits[k], bits[k + 1]
-            side_rev = CL[k][c, rr]
-            side_fwd = CL[m - k - 1][c, s_prev]
-            ok = ((a == 1) | (side_rev >= 0)) & ((b == 1) | (side_fwd >= 0))
-            val = (EPS[k - 1][a_pre] ^ EPS[m - k - 2][s_cur]).astype(np.uint64)
-            mask |= np.where(ok, np.uint64(1) << val, np.uint64(0))
-            a_new = a_pre + b_aux + bits[k - 1]
-            b_aux = a_pre + bits[k - 1]
-            a_pre = a_new
-            rr = rr + bits[k].astype(np.int64) * C[k]
-        mask = fold(mask, CL[m - 1][bits[m - 1], rr])  # mirror end move
-        low_zero = (~mask) & (mask + np.uint64(1))
-        out[lo:hi] = np.log2(low_zero.astype(np.float64)).astype(np.int8)
+            np.multiply(c, C[k], out=weighted)
+            np.add(rr, weighted, out=rr)  # now reversed w[:k+1]
+            # colon file w[k] with tail reversed w[:k] is reversed w[:k+1],
+            # and with tail w[k+1:] it is w[k:].  Ranks are in range by
+            # construction; clip mode spares take the buffered copy that
+            # mode="raise" makes of ``out``
+            np.take(CL[k], rr, out=side_rev, mode="clip")
+            np.take(CL[m - k - 1], ranks[k % 3], out=side_fwd, mode="clip")
+            np.greater_equal(side_rev, 0, out=ok)
+            np.logical_or(ok, a, out=ok)
+            np.greater_equal(side_fwd, 0, out=ok_fwd)
+            np.logical_or(ok_fwd, b, out=ok_fwd)
+            np.logical_and(ok, ok_fwd, out=ok)
+            np.take(EPS[k - 1], a_pre, out=left, mode="clip")
+            np.take(EPS[m - k - 2], ranks[(k + 2) % 3], out=right,
+                    mode="clip")
+            np.bitwise_xor(left, right, out=left)
+            # ok - 1 is 0 or -1, all bits set, so this writes -1 for loony
+            np.bitwise_or(left, np.subtract(ok, 1, out=right, dtype=np.int8),
+                          out=left)
+            fold(left)
+            # A[k] = A[k-1] + A[k-2] + w[k-2] + w[k-1]; b_aux holds
+            # A[k-2] + w[k-2], so swap roles after two in-place adds
+            np.add(a_pre, a, out=a_pre)
+            np.add(b_aux, a_pre, out=b_aux)
+            a_pre, b_aux = b_aux, a_pre
+        np.multiply(bits[m - 1], C[m - 1], out=weighted)
+        # mirror end move: file m-1, tail reversed w[:m-1]
+        fold(CL[m - 1][np.add(rr, weighted, out=rr)])
+        np.add(mask, np.uint64(1), out=shifted)
+        np.bitwise_and(np.invert(mask, out=mask), shifted, out=mask)
+        out[lo:hi] = np.log2(mask)  # lowest unset bit of the move mask
 
     def _cl_chunk(self, m: int, lo: int, hi: int, out: np.ndarray) -> None:
-        C = self.C
-        R = np.arange(lo, hi, dtype=np.int64)
-        first = (R >= C[m - 1]).astype(np.int8)
-        sub = np.where(first == 1, R - C[m - 1], R)  # rank of tail[1:]
-        cap = self.EPS[m - 1][sub]
-        adv = self.CL[m - 1][first, sub]
+        C, EPS, CL = self.C, self.EPS, self.CL
+        # tails starting with 0 (rank < C[m-1]) and with 1 are two slices;
+        # the tail itself is the flat index of its colon class at m - 1
+        mid = min(max(C[m - 1], lo), hi)
+        cap = np.concatenate((EPS[m - 1][lo:mid],
+                              EPS[m - 1][mid - C[m - 1]:hi - C[m - 1]]))
+        adv = CL[m - 1].ravel()[lo:hi]
         out[0, lo:hi] = np.where(adv == cap, -1, cap)
-        if m >= 3:
-            # stopped colon file: tail starts with 0, i.e. rank < C[m-1]
-            keep = R < C[m - 1]
-            Ru = R[keep]
-            i2 = (Ru >= C[m - 2]).astype(np.int8)
-            wsub = np.where(i2 == 1, Ru - C[m - 2], Ru)
-            cap_u = self.EPS[m - 1][Ru]
-            adv_u = self.CL[m - 2][i2, wsub]
-            out[1, lo:hi][keep] = np.where(adv_u == cap_u, cap_u, -1)
+        if m >= 3 and lo < mid:
+            # stopped colon file: the tail starts with 0, and the forced
+            # advance leaves the colon file tail[1] with tail tail[2:]
+            cap_u = cap[:mid - lo]
+            adv_u = CL[m - 2].ravel()[lo:mid]
+            out[1, lo:mid] = np.where(adv_u == cap_u, cap_u, -1)
 
     # -- queries ------------------------------------------------------------
 

@@ -44,17 +44,20 @@ class GrundyTable:
     length and records, under the word's key, the value ``E[0, n]`` in
     ``eps`` and, for a nonempty word, the class ``CF[1 % P, n - 1]`` of a
     move to the colon component with colon file ``word[0]`` and tail
-    ``word[1:]`` in ``colon``.  Tables are kept per pattern and extend in
-    place, so words of one pattern (runs of open files, prefixes of
-    ``1000...``) share one table.  A word with a short period costs one
-    phase per length; a word with no shorter period costs O(n^3).
+    ``word[1:]`` in ``colon``.  Tables of words with a shorter period are
+    kept per pattern and extend in place, so words of one pattern (runs of
+    open files, prefixes of ``1000...``) share one table.  A padded table
+    serves only its word, so ``ensure`` records that word's move row and
+    drops the table; a longer word of the same pattern builds it again.
+    A word with a short period costs one phase per length; a word with no
+    shorter period costs O(n^3).
     """
 
     def __init__(self):
         self.eps = {}  # word key -> value
         self.colon = {}  # word key -> colon class, -1 for loony
-        self._done = {}  # word key -> the phase table it was read from
-        self._tables = {}  # PeriodicPattern -> PeriodicTable
+        self._done = {}  # word key -> move row, or the shared phase table
+        self._tables = {}  # PeriodicPattern -> shared PeriodicTable
 
     def ensure(self, word: Word) -> None:
         """Fill the phase table of ``word`` to its length and record the
@@ -75,20 +78,24 @@ class GrundyTable:
         pattern = PeriodicPattern(
             period, frozenset(t for t in range(top) if (bits >> t) & 1),
             file_origin=period)  # phase t is word position t
-        table = self._tables.get(pattern)
-        if table is None:
-            table = self._tables[pattern] = PeriodicTable(pattern)
+        table = self._tables.get(pattern) or PeriodicTable(pattern)
         table.extend(n)
         # a shared table may have grown past n, so read lengths <= n only
         self.eps[key] = int(table.E[0, n])
         if n:
             self.colon[key] = int(table.CF[1 % period, n - 1])
-        self._done[key] = table
+        if period < n:
+            self._tables[pattern] = self._done[key] = table
+        else:
+            self._done[key] = table.move_classes([0], n)[0]
 
     def move_classes(self, word: Word) -> list:
         """Class of the move at each file of ``word``; -1 means loony."""
         self.ensure(word)
-        return self._done[word.key].move_classes([0], word.length)[0].tolist()
+        row = self._done[word.key]
+        if isinstance(row, PeriodicTable):  # read a shared table's row once
+            row = self._done[word.key] = row.move_classes([0], word.length)[0]
+        return row.tolist()
 
     def colon_class(self, word: Word) -> int:
         """Class of a move to the colon component whose colon file is

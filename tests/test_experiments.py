@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from collections import Counter
@@ -51,6 +52,80 @@ def test_workers_deterministic():
     par.build(10)
     for m in range(len(seq.EPS)):
         assert np.array_equal(seq.EPS[m], par.EPS[m])
+        assert np.array_equal(seq.CL[m], par.CL[m])
+
+
+# sha256 of the bytes of EPS[m] and CL[m] (int8) for m = 0..24, as the
+# rank sweep computed them before it was rewritten for cache-sized chunks
+_EPS_SHA256 = [
+    "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",  # 0
+    "9dcf97a184f32623d11a73124ceb99a5709b083721e878a16d78f596718ba7b2",  # 1
+    "709e80c88487a2411e1ee4dfb9f22a861492d20c4765150c0c794abd70f8147c",  # 2
+    "15f2f1a4339f5f2a313b95015cad8124d054a171ac2f31cf529dda7cfb6a38b4",  # 3
+    "0003ec75d5643ed9f3471144c15ecb8bee04d1895fcec6a95a9c57fb2b7056eb",  # 4
+    "cb1bdedd35a2803cea30dca532501a7c1a055e540a57f8f5a50cfd500367afe6",  # 5
+    "79a6fb977943fa8c6d171824e4406619142e980a38b275189dfd1218e7107f1e",  # 6
+    "b32128907603944bcda3251f62aa297af2859b6d3af5cdd496f02a7563b339eb",  # 7
+    "2fbdc267003301f9073df6052942b688c0ae1a6d677ab72f727ccd81e0926e7d",  # 8
+    "b26a3a23becac36d6dee2ee8c27a67e55867c3637d5914b3ffcf7abcb37ef201",  # 9
+    "17a7aed491065fb6b8956c1be48d1ddc68941b7d3c184942a7b4b4816c6dac8d",  # 10
+    "9059d41120757d8e1a0221b8857448334cf8bba3bf89d4bcc8e7e87eeccb5096",  # 11
+    "b78ccdd2df08efc531bb6ecbf813add1652b272a825e05cd6abf0f645466a2ac",  # 12
+    "1274e4612c8f2a2187584e2b2761ff4130abd219bf8079d4ab7f17258392c110",  # 13
+    "50e240bbf2bd40813e5359cb08f23af7729f9ed5df8a8cfd8d4d008d256a8252",  # 14
+    "8e1057b7c92bc04865e12f68c874f5055d23681686e22f01cac5d0bada398312",  # 15
+    "3d4f26184662f66a92c3d4b953acb6df355c3c2e41dea95df22693152fdd6e82",  # 16
+    "e2345921ef9659c7d7d0d9a5dd89a1a5d55a39c3c2698f4e97a5dd6f291f390f",  # 17
+    "96f8de90d17163879b6f031b1164848415e2ff5ffb7d498238d3af275128e7b6",  # 18
+    "c2367534a6b725e46c21807bfe48ebe38e41dd80ffd99cdcdbb12bed14068cd2",  # 19
+    "453d05772a2441e5068e76f1274e2ac8cfbe84cce012a43489d1c83afc6d4465",  # 20
+    "4850e41ef21989964ab399c53f6b25705b937a1537bce926be9ac38012a4b401",  # 21
+    "6f7343bd4f7dcc01ebc35811afbc360a0c7755f7e34afba87770332c1d9c4402",  # 22
+    "dbc575cf21e2e364e41fc0e565e7fb2ba8781ec264b80e5d240a361c23014dcc",  # 23
+    "db9e84e0c23e492fd997fcd532c1bb6f620c364a936548378c576664e544744a",  # 24
+]
+_CL_SHA256 = [
+    "ca2fd00fa001190744c15c317643ab092e7048ce086a243e2be9437c898de1bb",  # 0
+    "ad95131bc0b799c0b1af477fb14fcf26a6a9f76079e48bf090acb7e8367bfd0e",  # 1
+    "bae65ea676e54baac3e23a1998babbcad5298ab64a754821d319552ebf86b30a",  # 2
+    "ddf20d98f09f8f63342599ae0d73c69a0e02e01ce9fd89cd3857b6be8f7e33c9",  # 3
+    "c4219a32e795034e137161012f97d5538791affba868dc63b32beb725bb1f88c",  # 4
+    "fe69529ba65349cb1ce49a94b9db48f213e08017e02752c5995ed6076872186b",  # 5
+    "8afeeb29a93a35b37eceb385471db516cd2a8343c962da899ddc65b0009d09e3",  # 6
+    "0da2f3d57d6d88d841200fc6ac76d7e51bdaebb5c159e669bfdba29f64496df8",  # 7
+    "c1fbf812920f2acf2f379e69306e7d9123a7b27e8560a5a72cd12efee9455353",  # 8
+    "70d4f9839305d3c6a9117976fb54f11ce889f9eecee2e67ab8268d4e245d5db9",  # 9
+    "a822a432127919e9faaa84f612281bebddc47483b8408d0387b2619f12973e01",  # 10
+    "e31890f0dea001afa117860bd5860284bd5ff4b649be4840b30082da501fe666",  # 11
+    "47dd8229a122e872e97935b4157e07547435e667a14412c94082d82dee12c9a2",  # 12
+    "5085e91913ba7fafeff456cc0b5339ac75fe8e68546dc9f144bf693d3af62550",  # 13
+    "5e164f677049dcf09a3df988c2ae7621b911e52cee83ee65595ac9decd6ae376",  # 14
+    "ed820db765d33d4c1bea9e72da42a42b46859ce213db971024d303b26cc4be70",  # 15
+    "34afb09a37807339e06ed28656eefdc643e3820fec5a62c827159fee118fd795",  # 16
+    "e8b4dfa84270da1bb2e0c0f4b7870b55333df3a614dc19141967333cf664d397",  # 17
+    "58ba6ea613283ca90fcf104f4a212ca1a0c973a8e01110a6891f0d354a23f77e",  # 18
+    "ddaf880d44e5de7f75ff6cca9ccfe63c1ad78d7a534391a92867f2744b8deeb1",  # 19
+    "dbfe753dc951bc2286683feb3b5267a4e5a538bf7cc7504014d47a9c5bb163c8",  # 20
+    "279ab32a67aa5afb7eebf4354cb2857cd62c28e265aeeac5665d463ef67e642b",  # 21
+    "ff52ee34275c4a29606088f8f811867406d0badffeff67ce6450b5372c6a8a90",  # 22
+    "7a1825a5cd8076df48758aa5aab1135be424b660c5e738b026041ee8344d15f3",  # 23
+    "c6d768c9f7b2b0d5128a45952135dbe226b2446abf9528e010825d6c446908b0",  # 24
+]
+
+
+# the default chunk, and 1000 ranks, which divides no tier size, with
+# threads: a change to the sweep must reproduce every tier exactly
+@pytest.mark.parametrize("chunk_size, workers", [(1 << 16, 1), (1000, 2)])
+def test_scan_tables_pinned(chunk_size, workers):
+    st = ScanTables(chunk_size=chunk_size, workers=workers)
+    st.build(24)
+    for m in range(25):
+        assert st.EPS[m].dtype == st.CL[m].dtype == np.int8
+        assert st.CL[m].shape == (2, count_words(m))
+        assert (hashlib.sha256(st.EPS[m].tobytes()).hexdigest()
+                == _EPS_SHA256[m]), m
+        assert (hashlib.sha256(st.CL[m].tobytes()).hexdigest()
+                == _CL_SHA256[m]), m
 
 
 def test_workers_must_be_positive():

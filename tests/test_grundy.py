@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 
@@ -104,28 +105,61 @@ def test_memo_idempotent(table):
     assert epsilon(w, fresh) == first
 
 
-def test_single_words_agree_with_rank_scan():
+def _live_phase_tables():
+    gc.collect()
+    return sum(isinstance(o, PeriodicTable) for o in gc.get_objects())
+
+
+def _as_int(cls):
+    return -1 if cls.is_loony else cls.value
+
+
+@pytest.fixture(scope="module")
+def small_words():
+    """One GrundyTable asked about every valid word of up to 14 files: its
+    value, the class of each move and its colon classes.  Returns the
+    table, the answers and how many phase tables the loop left alive."""
+    before = _live_phase_tables()
+    table = GrundyTable()
+    answers = []
+    for m in range(15):
+        for w in enumerate_words(m):
+            moves = [_as_int(classify_move(w, k, table)) for k in range(m)]
+            colons = {und: _as_int(classify_colon(bool(und), w, table))
+                      for und in (0, 1) if not (und and m and w[0] == 1)}
+            answers.append((w, epsilon(w, table), moves, colons))
+    return table, answers, _live_phase_tables() - before
+
+
+def test_single_words_agree_with_rank_scan(small_words):
     # ScanTables indexes words by rank and shares no code with the phase
     # tables behind GrundyTable, so it is an independent check
     scan = ScanTables()
     scan.build(14)
+    for w, value, moves, colons in small_words[1]:
+        m, rank = len(w), scan.rank(w)
+        assert value == scan.EPS[m][rank], str(w)
+        assert mex(moves) == value, str(w)
+        for und, cls in colons.items():
+            assert cls == scan.CL[m][und, rank], (und, str(w))
+
+
+def test_padded_tables_are_dropped(small_words):
+    # a word with no shorter period is read from a table padded to period
+    # n + 1, which is dropped; only the tables of words with a shorter
+    # period stay alive, one per pattern
+    table, _, alive = small_words
+    assert alive == len(table._tables)
+    assert all(t.p < t.n for t in table._tables.values())
+    # a longer word of a dropped table's pattern builds it again
+    short, longer = Word("1000"), Word("100001000")
     table = GrundyTable()
-
-    def as_int(cls):
-        return -1 if cls.is_loony else cls.value
-
-    for m in range(15):
-        for w in enumerate_words(m):
-            rank = scan.rank(w)
-            value = epsilon(w, table)
-            assert value == scan.EPS[m][rank], str(w)
-            assert mex(as_int(classify_move(w, k, table))
-                       for k in range(m)) == value, str(w)
-            for und in (0, 1):
-                if und and m and w[0] == 1:
-                    continue
-                assert (as_int(classify_colon(bool(und), w, table))
-                        == scan.CL[m][und, rank]), (und, str(w))
+    table.ensure(short)
+    assert not table._tables
+    fresh = PeriodicTable(PeriodicPattern(5, frozenset({0}), file_origin=5), 9)
+    assert table.epsilon(longer) == fresh.E[0, 9]
+    assert table.move_classes(longer) == fresh.move_classes([0], 9)[0].tolist()
+    assert table.move_classes(short) == fresh.move_classes([0], 4)[0].tolist()
 
 
 @pytest.mark.parametrize("unit", ["0", "1000", "0010"])
