@@ -267,7 +267,13 @@ def first_occurrence(max_k: int, max_m: int,
 def value_distribution(m: int, tables: ScanTables) -> DistributionRow:
     """Exact counts of each value over all valid words of length m."""
     tables.build(m)
-    counts = np.bincount(tables.EPS[m].astype(np.int64))
+    eps = tables.EPS[m]
+    # bincount widens its input to intp; counting chunk by chunk keeps
+    # that copy at chunk size instead of 8 bytes per word of the tier
+    counts = np.zeros(int(eps.max()) + 1, dtype=np.int64)
+    for lo in range(0, eps.size, tables.chunk_size):
+        counts += np.bincount(eps[lo:lo + tables.chunk_size],
+                              minlength=counts.size)
     return DistributionRow(
         length=m,
         counts={v: int(c) for v, c in enumerate(counts) if c},

@@ -8,7 +8,13 @@ player without a move loses.  An attached Nim heap models extra *k
 summands: either player may shrink it to any smaller size.
 
 The search knows nothing about components or colon notation, so it is an
-independent check on the classification engine.
+independent check on the classification engine.  Pawn moves are stated
+once, in a per-square move table built for a board's geometry (its width
+and stopped files): for each side and each square, the moves of a pawn
+standing there, each with its destination bit and whether it wins on the
+spot.  ``legal_moves`` and ``Solver`` both read that table; the solver
+searches over raw ints, checks touchdown only at its root, and is bound
+to the one geometry it first sees.
 """
 
 from __future__ import annotations
@@ -114,27 +120,53 @@ def initial_position(components: Iterable["Word | str"],
                          side_to_move)
 
 
-def legal_moves(pos: BoardPosition) -> "list[Move]":
+def _move_table(width: int, stopped: frozenset) -> tuple:
+    """Per side, per square (file*3 + row-1): the moves of a pawn standing
+    there, in the order they are tried (advance, capture left, capture
+    right), as (destination bit, capture, wins at once, Move).  A move
+    wins at once when it reaches the far row of an unstopped file."""
+    table = []
+    for step, far in ((1, 3), (-1, 1)):
+        squares = []
+        for sq in range(3 * width):
+            f, r = divmod(sq, 3)
+            r += 1
+            to = r + step
+            moves = []
+            if 1 <= to <= 3:
+                for nf in (f, f - 1, f + 1):
+                    if 0 <= nf < width:
+                        capture = nf != f
+                        moves.append((_bit(nf, to), capture,
+                                      to == far and nf not in stopped,
+                                      Move(f, r, nf, to, capture)))
+            squares.append(tuple(moves))
+        table.append(tuple(squares))
+    return tuple(table)
+
+
+def _moves_of(pos: BoardPosition, table: tuple) -> "list[tuple]":
+    """The legal moves of the side to move, as (Move, wins at once)."""
     own, other = ((pos.white, pos.black) if pos.side_to_move == WHITE
                   else (pos.black, pos.white))
-    step = 1 if pos.side_to_move == WHITE else -1
-    occupied = pos.white | pos.black
+    empty = ~(pos.white | pos.black)
+    squares = table[pos.side_to_move]
     out = []
     bb = own
     while bb:
         low = bb & -bb
         bb ^= low
-        sq = low.bit_length() - 1
-        f, r = divmod(sq, 3)
-        r += 1
-        to = r + step
-        if 1 <= to <= 3:
-            if not occupied & _bit(f, to):
-                out.append(Move(f, r, f, to, False))
-            for nf in (f - 1, f + 1):
-                if 0 <= nf < pos.width and other & _bit(nf, to):
-                    out.append(Move(f, r, nf, to, True))
+        for dest, capture, wins, mv in squares[low.bit_length() - 1]:
+            if (other if capture else empty) & dest:
+                out.append((mv, wins))
     return out
+
+
+def legal_moves(pos: BoardPosition) -> "list[Move]":
+    """Own pawns low bit first; for each, advance, capture left, capture
+    right."""
+    return [mv for mv, _ in _moves_of(pos, _move_table(pos.width,
+                                                       pos.stopped))]
 
 
 def apply_move(pos: BoardPosition, mv: Move) -> BoardPosition:
@@ -157,50 +189,91 @@ def apply_move(pos: BoardPosition, mv: Move) -> BoardPosition:
                          1 - pos.side_to_move)
 
 
-def _wins_immediately(pos: BoardPosition, mv: Move) -> bool:
-    far = 3 if pos.side_to_move == WHITE else 1
-    return mv.to_row == far and mv.to_file not in pos.stopped
-
-
 class Solver:
-    """Memoized exact search over (occupancy, side, heap)."""
+    """Memoized exact search over (white, black, side, heap) as raw ints.
+
+    The memo key is the two bitboards, the side to move and the heap; it
+    does not name the board's width or stopped files, so a solver is bound
+    to the geometry of the first position it is asked about and raises
+    ValueError for any other.  Moves come from the geometry's per-square
+    move table.  Touchdown is checked only at the root: a move that wins
+    at once ends the search of its position before any child is searched,
+    so every child reached is free of touchdowns.
+    """
 
     def __init__(self, max_states: int = 4_000_000):
         self.memo = {}
         self.max_states = max_states
+        self._geometry = None
+        self._table = None
 
     def wins(self, pos: BoardPosition, heap: int = 0) -> bool:
         """True when the side to move wins with best play."""
+        geometry = (pos.width, frozenset(pos.stopped))
+        if self._geometry is None:
+            self._geometry = geometry
+            self._table = _move_table(*geometry)
+        elif geometry != self._geometry:
+            raise ValueError(
+                f"solver is bound to width {self._geometry[0]} with stopped "
+                f"files {sorted(self._geometry[1])}; got width {pos.width} "
+                f"with stopped files {sorted(pos.stopped)}")
         winner = pos.touchdown_winner()
         if winner is not None:
             return winner == pos.side_to_move
-        key = (pos.white, pos.black, pos.side_to_move, heap)
-        cached = self.memo.get(key)
+        return self._wins(pos.white, pos.black, pos.side_to_move, heap)
+
+    def _wins(self, white: int, black: int, side: int, heap: int) -> bool:
+        key = (white, black, side, heap)
+        memo = self.memo
+        cached = memo.get(key)
         if cached is not None:
             return cached
-        if len(self.memo) >= self.max_states:
+        if len(memo) >= self.max_states:
             raise ResourceLimitError(
                 f"transposition table exceeded {self.max_states} entries")
+        own, other = (white, black) if side == WHITE else (black, white)
+        empty = ~(white | black)
+        squares = self._table[side]
+        children = []
         result = False
-        moves = legal_moves(pos)
-        for mv in moves:
-            if _wins_immediately(pos, mv):
-                result = True
+        bb = own
+        while bb:
+            low = bb & -bb
+            bb ^= low
+            for dest, capture, wins, _ in squares[low.bit_length() - 1]:
+                if capture:
+                    if not other & dest:
+                        continue
+                    children.append((own ^ low ^ dest, other ^ dest))
+                elif empty & dest:
+                    children.append((own ^ low ^ dest, other))
+                else:
+                    continue
+                if wins:
+                    result = True
+                    break
+            if result:
                 break
         if not result:
-            for mv in moves:
-                if not self.wins(apply_move(pos, mv), heap):
+            # no child has a touchdown: the mover's only new far-row pawn
+            # would have won at once above, and the rival's pawns were
+            # checked at the root and only ever lose squares since
+            rival = 1 - side
+            for child_own, child_other in children:
+                if side == WHITE:
+                    child = self._wins(child_own, child_other, rival, heap)
+                else:
+                    child = self._wins(child_other, child_own, rival, heap)
+                if not child:
                     result = True
                     break
-        if not result:
-            for smaller in range(heap):
-                if not self.wins(BoardPosition(pos.width, pos.stopped,
-                                               pos.white, pos.black,
-                                               1 - pos.side_to_move),
-                                 smaller):
-                    result = True
-                    break
-        self.memo[key] = result
+            else:
+                for smaller in range(heap):
+                    if not self._wins(white, black, rival, smaller):
+                        result = True
+                        break
+        memo[key] = result
         return result
 
 
@@ -249,15 +322,15 @@ def principal_variation(pos: BoardPosition, heap: int = 0,
     """Diagnostic line of play: winning moves where they exist, otherwise
     the first legal move.  Heap reductions print as "heap->j"."""
     solver = Solver(max_states)
+    table = _move_table(pos.width, pos.stopped)
     line = []
     while len(line) < limit:
         if pos.touchdown_winner() is not None:
             break
-        moves = legal_moves(pos)
+        moves = _moves_of(pos, table)
         chosen = None
-        for mv in moves:
-            if _wins_immediately(pos, mv) or not solver.wins(
-                    apply_move(pos, mv), heap):
+        for mv, wins in moves:
+            if wins or not solver.wins(apply_move(pos, mv), heap):
                 chosen = mv
                 break
         if chosen is None:
@@ -271,7 +344,7 @@ def principal_variation(pos: BoardPosition, heap: int = 0,
             else:
                 if not moves:
                     break
-                chosen = moves[0]
+                chosen = moves[0][0]
         if chosen is not None:
             line.append(chosen.notation())
             pos = apply_move(pos, chosen)

@@ -1,5 +1,7 @@
 import pytest
 
+from pawnnim import oracle
+from pawnnim.engine import classify_move
 from pawnnim.grundy import GrundyTable, epsilon
 from pawnnim.oracle import (BLACK, WHITE, BoardPosition, NonUniqueHeapError,
                             ResourceLimitError, Solver, SumPosition,
@@ -72,9 +74,48 @@ def test_oracle_is_loony_examples():
 
 def test_engine_oracle_agreement_small():
     table = GrundyTable()
-    for m in range(1, 5):
+    for m in range(1, 7):
         for w in enumerate_words(m):
             assert oracle_epsilon(w) == epsilon(w, table), str(w)
+            for k in range(m):
+                assert (oracle_is_loony(w, k)
+                        == classify_move(w, k, table).is_loony), (str(w), k)
+
+
+def test_oracle_search_sizes(monkeypatch):
+    # positions searched by oracle_epsilon plus oracle_is_loony on every
+    # file, summed over their searches; the counts of the benchmark's
+    # ORACLE_STATES table
+    solvers = []
+
+    class CountingSolver(Solver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(oracle, "Solver", CountingSolver)
+    for word, states in (("1001000", 23342), ("1000000", 24051),
+                         ("0001000", 27207)):
+        solvers.clear()
+        oracle_epsilon(word)
+        for k in range(len(word)):
+            oracle_is_loony(word, k)
+        assert sum(len(s.memo) for s in solvers) == states, word
+
+
+def test_solver_is_bound_to_one_geometry():
+    # the memo key names no width or stopped files, so a solver reused on
+    # another board would answer from the first board's entries
+    stopped, plain = initial_position(["1000"]), initial_position(["0000"])
+    assert Solver().wins(plain, 2) is True
+    solver = Solver()
+    assert solver.wins(stopped, 2) is False
+    with pytest.raises(ValueError):
+        solver.wins(plain, 2)
+    with pytest.raises(ValueError):
+        solver.wins(initial_position(["10000"]), 2)
+    after = apply_move(stopped, legal_moves(stopped)[0])
+    assert solver.wins(after, 2) is outcome(after, 2)
 
 
 def test_two_component_sum_zero_iff_equal_values():
