@@ -44,13 +44,15 @@ class GrundyTable:
     length and records, under the word's key, the value ``E[0, n]`` in
     ``eps`` and, for a nonempty word, the class ``CF[1 % P, n - 1]`` of a
     move to the colon component with colon file ``word[0]`` and tail
-    ``word[1:]`` in ``colon``.  Tables of words with a shorter period are
-    kept per pattern and extend in place, so words of one pattern (runs of
-    open files, prefixes of ``1000...``) share one table.  A padded table
-    serves only its word, so ``ensure`` records that word's move row and
-    drops the table; a longer word of the same pattern builds it again.
-    A word with a short period costs one phase per length; a word with no
-    shorter period costs O(n^3).
+    ``word[1:]`` in ``colon``.  Tables of words that span at least two
+    periods (n >= 2P) are kept per pattern and extend in place, so words
+    of one pattern (runs of open files, repeats of ``1000``) share one
+    table.  Any other table, padded or not, is dropped once ``ensure`` has
+    recorded its word's move row: a word with w[0] == w[n-1] already has
+    period n - 1, so few such tables would ever be shared, and a longer
+    word of the same pattern builds the table again.  A word with a short
+    period costs one phase per length; a word with no shorter period
+    costs O(n^3).
     """
 
     def __init__(self):
@@ -84,7 +86,7 @@ class GrundyTable:
         self.eps[key] = int(table.E[0, n])
         if n:
             self.colon[key] = int(table.CF[1 % period, n - 1])
-        if period < n:
+        if 2 * period <= n:
             self._tables[pattern] = self._done[key] = table
         else:
             self._done[key] = table.move_classes([0], n)[0]
@@ -160,31 +162,47 @@ def _colon_class(und, cap, adv, adv_u):
     loony when adv == cap, and worth cap otherwise; a stopped one is worth
     cap when adv_u == cap, and loony otherwise.
     """
-    return np.where(und == 1, np.where(adv_u == cap, cap, -1),
-                    np.where(adv == cap, -1, cap))
+    return np.where(np.where(und, adv_u != cap, adv == cap), -1, cap)
 
 
 class PeriodicTable:
     """Value and colon-class arrays for one stopping pattern, filled bottom
     up over lengths and extendable in place.
 
-    ``E``, ``CF`` and ``CR`` are indexed [start phase, length].  Next to
-    them the table keeps end-phase copies of ``E`` and ``CF``, indexed by
-    the phase of the file just past the subword's last file:
-    ``EE[e, l] = E[(e - l) % p, l]`` and ``CFE[e, l] = CF[(e - l) % p, l]``.
+    Stored, and the only arrays ``save`` writes: ``E``, ``CF`` and ``CR``,
+    int32 and indexed [start phase, length].  Derived from them whenever
+    the arrays grow or are loaded, then kept in step by the fill:
+
+    - ``EE``, int32: the values by end phase, the phase of the file just
+      past the subword's last file, with the length axis reversed:
+      ``EE[e, w - 1 - l] = E[(e - l) % p, l]`` for width w = n + 1;
+    - ``left_loony``, bool, [start phase, length]: the subword's last file
+      is open and its reversed colon class ``CR`` is loony;
+    - ``right_loony``, bool, laid out like ``EE``: the subword's first file
+      is open and its forward colon class ``CF`` is loony.
+
     The right-hand pieces a move leaves in a length-L word all end at the
-    same file, so in this layout they are one reversed row slice.  The
-    copies are derived from ``E`` and ``CF`` whenever the arrays grow or
-    are loaded, and ``save`` writes only ``E``, ``CF`` and ``CR``.
+    same file, so in the end-phase layout they lie along one row, and with
+    the length axis reversed that row reads forward.  A cell takes 18
+    bytes: 4 each in E, CF, CR and EE, and 1 in each side bit.
     """
 
     def __init__(self, pattern: PeriodicPattern, max_length: int = 0):
         self.pattern = pattern
-        self.p = pattern.period
-        self.flags = np.array([pattern.phase_flag(q) for q in range(self.p)],
+        self.p = p = pattern.period
+        self.flags = np.array([pattern.phase_flag(q) for q in range(p)],
                               dtype=bool)
+        # indices the fill reads at every length, made once per table:
+        # phases and flags over two periods, so the (q + L) % p of all
+        # phases is the slice starting at L % p
+        self._phases = np.arange(p, dtype=np.int32)
+        self._cycle = np.tile(self._phases, 2)
+        self._flags2 = np.tile(self.flags, 2)
+        self._open2 = ~self._flags2
+        self._next = (self._phases + 1) % p
+        self._after_next = (self._phases + 2) % p
+        self._flag_before = self.flags[self._phases - 1]
         self.n = 0
-        p = self.p
         self.E = np.zeros((p, 1), dtype=np.int32)
         self.CF = np.full((p, 1), -1, dtype=np.int32)
         self.CR = np.full((p, 1), -1, dtype=np.int32)
@@ -193,30 +211,30 @@ class PeriodicTable:
             self.extend(max_length)
 
     def _derive_end_phase(self) -> None:
-        """Derive EE, CFE and the tiled flags from E, CF and their size."""
+        """Derive EE and the side bits from E, CF, CR and their width."""
         p, width = self.E.shape
-        e, l = np.ogrid[:p, :width]
-        rows = (e - l) % p
-        self.EE, self.CFE = self.E[rows, l], self.CF[rows, l]
-        # flags of files 0 .. p + width - 1 (file t has phase t % p), so the
-        # flags along any word of the table are one contiguous slice
-        self._tiled = np.resize(self.flags, p + width)
+        e = self._phases[:, None]
+        lengths = np.arange(width)
+        l = lengths[::-1]  # the length at each reversed column
+        start = (e - l) % p
+        self.EE = self.E[start, l]
+        self.right_loony = ~self.flags[start] & (self.CF[start, l] < 0)
+        # the last file of the subword at phase q and length l is q + l - 1
+        self.left_loony = (~self.flags[(e + lengths - 1) % p]
+                           & (self.CR < 0))
 
     def extend(self, n: int) -> None:
         if n <= self.n:
             return
         p = self.p
-        grown = np.zeros((p, n + 1), dtype=np.int32)
-        grown[:, :self.n + 1] = self.E
-        self.E = grown
-        for name in ("CF", "CR"):
-            arr = np.full((p, n + 1), -1, dtype=np.int32)
+        for name, fill in (("E", 0), ("CF", -1), ("CR", -1)):
+            arr = np.full((p, n + 1), fill, dtype=np.int32)
             arr[:, :self.n + 1] = getattr(self, name)
             setattr(self, name, arr)
         self._derive_end_phase()
         start = self.n + 1
         if start <= 1 <= n:
-            self.E[:, 1] = self.EE[:, 1] = 1
+            self.E[:, 1] = self.EE[:, n - 1] = 1
             start = 2
         for length in range(start, n + 1):
             self._fill(length)
@@ -224,8 +242,9 @@ class PeriodicTable:
 
     def move_classes(self, phases, L: int) -> np.ndarray:
         """Class of the move at each file of the length-L words starting at
-        the given phases: a (len(phases), L) array, -1 for loony.  Reads
-        only lengths below L.
+        the given consecutive phases (such as ``[q]`` or ``range(p)``): a
+        (len(phases), L) array, -1 for loony.  Reads only lengths below L.
+        Raises ValueError unless the phases are consecutive in 0..p-1.
 
         An end move is classified by the colon class of the rest of the
         word.  An interior move at file k is non-loony when each side
@@ -233,50 +252,70 @@ class PeriodicTable:
         then it is worth the value of the two remaining sides, e1 ^ e2.
         The left side of file k is the subword at phase q of length k - 1;
         the right side, and the colon tail read from it, end at file L - 1,
-        so they are reversed slices of the end-phase row (q + L) % p.
+        so they are forward slices of the end-phase row (q + L) % p.
         """
         p = self.p
         q = np.asarray(phases)
-        out = np.zeros((q.size, L), dtype=self.E.dtype)
+        m = q.size
+        a = int(q[0]) if m else 0
+        if a < 0 or a + m > p or not np.array_equal(q, self._phases[a:a + m]):
+            raise ValueError(f"phases must be consecutive phases of 0..{p - 1}")
+        out = np.zeros((m, L), dtype=np.int32)
         if L <= 1:
             return out  # the lone pawn's move is a move to 0
-        out[:, 0] = self.CF[(q + 1) % p, L - 1]
-        out[:, L - 1] = self.CR[q, L - 1]
+        out[:, 0] = self.CF[self._next[a:a + m], L - 1]
+        out[:, L - 1] = self.CR[a:a + m, L - 1]
         if L == 2:
             return out
-        end = (q + L) % p
-        e1 = self.E[q, :L - 2]  # E[q, k - 1] for k = 1 .. L - 2
-        e2 = self.EE[end, L - 3::-1]  # E[(q + k + 2) % p, L - 2 - k]
-        sf = self.CFE[end, L - 2:0:-1]  # CF[(q + k + 1) % p, L - 1 - k]
-        sr = self.CR[q, 1:L - 1]  # CR[q, k]
-        win = np.lib.stride_tricks.sliding_window_view(self._tiled, L - 2)
-        ok = (win[q] | (sr >= 0)) & (win[q + 2] | (sf >= 0))
+        # for k = 1 .. L - 2: E[q, k - 1] and the side bit of CR[q, k] by
+        # start row; E[(q + k + 2) % p, L - 2 - k] and the side bit of
+        # CF[(q + k + 1) % p, L - 1 - k] by end row, in reversed columns
+        width = self.E.shape[1]
+        e1 = self.E[a:a + m, :L - 2]
+        left = self.left_loony[a:a + m, 1:L - 1]
+        e2 = self.EE[:, width - L + 2:]
+        right = self.right_loony[:, width - L + 1:width - 1]
         inner = out[:, 1:L - 1]
-        np.bitwise_xor(e1, e2, out=inner)
-        # ok - 1 is 0 or -1, all bits set, so this writes -1 for loony
-        np.bitwise_or(inner, np.subtract(ok, 1, dtype=inner.dtype), out=inner)
+        loony = np.empty(inner.shape, dtype=bool)
+        # the end rows (q + L) % p of consecutive phases wrap past p - 1 at
+        # most once, so they are two row slices
+        end = (a + L) % p
+        split = min(m, p - end)
+        for lo, hi, e in ((0, split, end), (split, m, 0)):
+            if lo < hi:
+                np.bitwise_xor(e1[lo:hi], e2[e:e + hi - lo], out=inner[lo:hi])
+                np.bitwise_or(left[lo:hi], right[e:e + hi - lo],
+                              out=loony[lo:hi])
+        # a loony bit read as int8 and negated is 0 or -1, all bits set, so
+        # this writes -1 for loony
+        mask = loony.view(np.int8)
+        np.bitwise_or(inner, np.negative(mask, out=mask), out=inner)
         return out
 
     def _fill(self, L: int) -> None:
-        p, flags = self.p, self.flags
+        p = self.p
         E, CF, CR = self.E, self.CF, self.CR
-        q = np.arange(p)
-        end = (q + L) % p
+        col = E.shape[1] - 1 - L  # the reversed column of length L
+        end = self._cycle[L % p:L % p + p]  # (q + L) % p
         # mex of each row: L moves leave one of the values 0..L unused, and
         # no class exceeds L (e1 ^ e2 <= e1 + e2 <= L - 3).  Loony moves
         # (-1) land in the spare last column of the row before.
-        cls = self.move_classes(q, L)
+        cls = self.move_classes(self._phases, L)
         seen = np.zeros((p, L + 2), dtype=bool)
-        seen.ravel()[cls + (q * (L + 2))[:, None]] = True
-        E[:, L] = self.EE[end, L] = seen[:, :L + 1].argmin(axis=1)
+        cls += (L + 2) * self._phases[:, None]  # offset of each row in seen
+        seen.ravel()[cls.ravel().astype(np.intp)] = True
+        E[:, L] = self.EE[end, col] = seen[:, :L + 1].argmin(axis=1)
         # colon classes for tails of length L, both reading directions.  CF
         # and CR hold -1 at lengths 0 and 1, which equals no value, so every
         # tail shorter than 3 behind a stopped colon file comes out loony
-        r = (q + 1) % p
-        CF[:, L] = self.CFE[end, L] = _colon_class(
-            flags[q - 1], E[r, L - 1], CF[r, L - 1], CF[(q + 2) % p, L - 2])
-        CR[:, L] = _colon_class(flags[end], E[q, L - 1], CR[q, L - 1],
-                                CR[q, L - 2])
+        r1 = self._next
+        CF[:, L] = cf = _colon_class(self._flag_before, E[r1, L - 1],
+                                     CF[r1, L - 1], CF[self._after_next, L - 2])
+        CR[:, L] = cr = _colon_class(self._flags2[L % p:L % p + p],
+                                     E[:, L - 1], CR[:, L - 1], CR[:, L - 2])
+        self.right_loony[end, col] = self._open2[:p] & (cf < 0)
+        last = (L - 1) % p  # phase of the last file, q + L - 1
+        self.left_loony[:, L] = self._open2[last:last + p] & (cr < 0)
 
     def values(self, phase: Optional[int] = None) -> np.ndarray:
         """Component values for lengths 0..n at the given start phase

@@ -146,11 +146,12 @@ def test_single_words_agree_with_rank_scan(small_words):
 
 def test_padded_tables_are_dropped(small_words):
     # a word with no shorter period is read from a table padded to period
-    # n + 1, which is dropped; only the tables of words with a shorter
-    # period stay alive, one per pattern
+    # n + 1, and a word shorter than two periods from a table few words
+    # share; both are dropped, and only the tables of words spanning at
+    # least two periods stay alive, one per pattern
     table, _, alive = small_words
     assert alive == len(table._tables)
-    assert all(t.p < t.n for t in table._tables.values())
+    assert all(2 * t.p <= t.n for t in table._tables.values())
     # a longer word of a dropped table's pattern builds it again
     short, longer = Word("1000"), Word("100001000")
     table = GrundyTable()
@@ -207,14 +208,45 @@ def test_periodic_table_agrees_with_direct(table):
             assert vals[length] == epsilon(w, table), (pattern, length)
 
 
-def test_periodic_table_extend_matches_fresh():
-    pattern = PeriodicPattern(6, frozenset({4}))
-    grown = PeriodicTable(pattern, 30)
-    grown.extend(90)
-    fresh = PeriodicTable(pattern, 90)
-    assert np.array_equal(grown.E, fresh.E)
-    assert np.array_equal(grown.CF, fresh.CF)
-    assert np.array_equal(grown.CR, fresh.CR)
+# a word of 20 files with no shorter period, padded to period 21
+_PADDED20 = PeriodicPattern(
+    21, frozenset(t for t, f in enumerate("10100100010100001000") if f == "1"),
+    file_origin=21)
+
+
+def _assert_same_table(got, fresh, n):
+    for name in ("E", "CF", "CR"):
+        assert np.array_equal(getattr(got, name),
+                              getattr(fresh, name)[:, :n + 1]), (name, n)
+    # move_classes reads lengths below L, so a table of length n serves
+    # every L up to n + 1
+    phases = np.arange(got.p)
+    for L in sorted({0, 1, 2, 3, n // 2, n, n + 1} & set(range(n + 2))):
+        assert np.array_equal(got.move_classes(phases, L),
+                              fresh.move_classes(phases, L)), (L, n)
+
+
+@pytest.mark.parametrize("pattern", [
+    PeriodicPattern(1, frozenset()),
+    PeriodicPattern(6, frozenset({4})),
+    PeriodicPattern(14, frozenset({0, 5})),
+    PeriodicPattern(5, frozenset({2}), file_origin=3),
+    _PADDED20,
+], ids=["p1", "p6", "p14", "p5-origin3", "padded20"])
+def test_periodic_table_extend_matches_fresh(pattern, tmp_path):
+    # the arrays derived from E, CF and CR are rebuilt whenever the table
+    # grows or is loaded; growing in steps must match a one-shot fill
+    fresh = PeriodicTable(pattern, 200)
+    grown = PeriodicTable(pattern)
+    for n in (0, 1, 2, 3, 37, 200):
+        grown.extend(n)
+        _assert_same_table(grown, fresh, n)
+    path = tmp_path / "table.npz"
+    PeriodicTable(pattern, 37).save(path)
+    back = PeriodicTable.load(path)
+    _assert_same_table(back, fresh, 37)
+    back.extend(200)
+    _assert_same_table(back, fresh, 200)
 
 
 def test_detect_period_plain():
@@ -257,8 +289,9 @@ def test_periodic_table_save_load(tmp_path):
                           t.move_classes(phases, 40))
     back.extend(80)
     fresh = PeriodicTable(pattern, 80)
-    # the fill reads copies of E and CF that save does not write, so a
-    # loaded table must rebuild them before it can classify or extend
+    # the fill reads arrays derived from E, CF and CR that save does not
+    # write, so a loaded table must rebuild them before it can classify or
+    # extend
     for name in ("E", "CF", "CR"):
         assert np.array_equal(getattr(back, name), getattr(fresh, name)), name
 
@@ -284,10 +317,13 @@ def test_periodic_table_pinned(pattern, digest):
     PeriodicPattern(6, frozenset({4})),
     PeriodicPattern(5, frozenset({0, 2})),
     PeriodicPattern(1, frozenset()),
+    PeriodicPattern(14, frozenset({0, 5})),
+    _PADDED20,
 ])
 def test_move_classes_single_phase_matches_all_phases(pattern):
-    # the reversed slices behind move_classes have edge cases at short L;
-    # check them against the move rule read cell by cell by start phase
+    # the end-phase slices behind move_classes wrap around the phases and
+    # have edge cases at short L; check them against the move rule read
+    # cell by cell from E, CF and CR by start phase
     t = PeriodicTable(pattern, 200)
     p, E, CF, CR = t.p, t.E, t.CF, t.CR
 
@@ -309,6 +345,14 @@ def test_move_classes_single_phase_matches_all_phases(pattern):
         for q in range(p):
             assert every[q].tolist() == direct(q, L), (q, L)
             assert np.array_equal(t.move_classes([q], L)[0], every[q]), (q, L)
+
+
+def test_move_classes_rejects_scattered_phases():
+    t = PeriodicTable(PeriodicPattern(6, frozenset({4})), 10)
+    assert t.move_classes([2, 3, 4], 5).shape == (3, 5)
+    for phases in ([0, 2], [3, 2], [5, 6], [-1]):
+        with pytest.raises(ValueError):
+            t.move_classes(phases, 5)
 
 
 @pytest.mark.parametrize("change", [
