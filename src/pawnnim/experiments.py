@@ -4,9 +4,9 @@ power-of-two milestones.
 
 The exhaustive engine stores one value array per word length, indexed by
 lexicographic rank.  Rank doubles as a content key, and the ranks of a
-word's prefixes, suffixes and reversed prefixes all obey one-step
-recurrences in the Fibonacci base, so a full sweep of length m costs O(m)
-array operations per word with every subword value shared across words.
+word's suffixes and reversed prefixes obey one-step recurrences in the
+Fibonacci base, so a full sweep of length m costs O(m) array operations
+per word with every subword value shared across words.
 """
 
 from __future__ import annotations
@@ -69,16 +69,28 @@ class ScanTables:
     the colon-file flag and the tail's rank; -1 encodes loony.  A stopped
     first file adds C[m] to a rank, so the flat index ``c * C[m] + r`` into
     ``CL[m].ravel()`` is the rank of the length-(m + 1) word made of the
-    colon file and the tail.  The sweep therefore reads every colon class
-    with one flat gather at a rank it already holds: a suffix of the word
-    or a reversed prefix.
+    colon file and the tail.  An end move therefore reads its colon class
+    with one flat gather at the rank of the word or of its reverse.
+
+    SIDE[j], uint8 and rank-indexed, serves the interior moves.  Read a
+    length-j word u as the moving file u[0], its neighbour u[1] and the
+    piece u[2:] left behind.  SIDE[j][rank u] is the value of u[2:], or a
+    loony byte, one with bit 6 set, when u[1] is open and the colon class
+    of (u[0]; u[1:]) is loony; values are at most the length, so below 64.
+    The move at file k of a length-m word reads its right side r at the
+    rank of w[k:] and its left side l at the rank of reversed w[:k+1],
+    whose piece is the reverse of w[:k-1] and has its value.  Its class
+    is ``(l ^ r) | (l & 64)``, loony when either side is.  Tier m reads
+    SIDE[2..m-1], so SIDE[j] is built at the start of tier j + 1 and the
+    top tier never has one (SIDE[0] and SIDE[1] are None): one byte per
+    word below the top tier.
 
     Tiers are filled in chunks of ``chunk_size`` consecutive ranks.  A
-    chunk holds its file bits as one bool (m, chunk) array and fifteen
-    chunk-length rank and scratch arrays that every step of the sweep
-    reuses in place, about 80 + m bytes per rank: 7 MB for the default
-    2^16 ranks at m = 30.  Chunks are independent, so worker threads and
-    sequential runs produce identical tables.
+    chunk holds one file-bit row and seven chunk-length rank and scratch
+    arrays that every step of the sweep reuses in place, 43 bytes per
+    rank, plus an 8-byte temporary for the final log2: 3.3 MB in all for
+    the default 2^16 ranks, at any length.  Chunks are independent, so worker
+    threads and sequential runs produce identical tables.
     """
 
     def __init__(self, chunk_size: int = 1 << 16, workers: int = 1):
@@ -89,6 +101,7 @@ class ScanTables:
         self.C = [1, 2]  # valid word counts by length
         self.EPS = [np.zeros(1, dtype=np.int8)]
         self.CL = [np.full((2, 1), -1, dtype=np.int8)]
+        self.SIDE = []  # lengths 0..max_length - 1; None below 2
 
     def _count(self, n: int) -> int:
         while len(self.C) <= n:
@@ -107,6 +120,7 @@ class ScanTables:
             self._tier(m)
 
     def _tier(self, m: int) -> None:
+        self.SIDE.append(self._side(m - 1) if m >= 3 else None)
         n_words = self._count(m)
         eps = np.empty(n_words, dtype=np.int8)
         if m == 1:
@@ -121,6 +135,15 @@ class ScanTables:
                              lambda lo, hi: self._cl_chunk(m, lo, hi, cl))
         self.CL.append(cl)
 
+    def _side(self, j: int) -> np.ndarray:
+        C = self.C
+        # a colon class is loony, -1 and so 0xFF here, or already the
+        # value of u[2:]
+        side = self.CL[j - 1].ravel()[:C[j]].view(np.uint8).copy()
+        # u = 0 1 0...: a stopped neighbour is never loony
+        side[C[j - 2]:C[j - 1]] = self.EPS[j - 2][:C[j - 1] - C[j - 2]]
+        return side
+
     def _run_chunks(self, total: int, fn) -> None:
         spans = [(lo, min(lo + self.chunk_size, total))
                  for lo in range(0, total, self.chunk_size)]
@@ -132,72 +155,46 @@ class ScanTables:
             list(pool.map(lambda span: fn(*span), spans))
 
     def _eps_chunk(self, m: int, lo: int, hi: int, out: np.ndarray) -> None:
-        C, EPS = self.C, self.EPS
-        CL = [cl.ravel() for cl in self.CL]
+        C, SIDE = self.C, self.SIDE
+        CL = self.CL[m - 1].ravel()
         n = hi - lo
-        bits = np.empty((m, n), dtype=bool)  # bits[j]: file j is stopped
-        # ranks[j % 3] holds the rank of the suffix w[j:] while it is read
-        ranks = [np.arange(lo, hi, dtype=np.int64),
-                 np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)]
-
-        def suffix(j):
-            # w[j:] has rank >= C[m-1-j] exactly when w[j] is stopped
-            s, rest = ranks[j % 3], ranks[(j + 1) % 3]
-            np.greater_equal(s, C[m - 1 - j], out=bits[j])
-            np.multiply(bits[j], C[m - 1 - j], out=rest)
-            np.subtract(s, rest, out=rest)
-
+        s = np.arange(lo, hi, dtype=np.int64)  # rank of the suffix w[k:]
+        rr = np.zeros(n, dtype=np.int64)  # rank of reversed w[:k]
+        weighted = np.empty(n, dtype=np.int64)
+        bit = np.empty(n, dtype=bool)
+        left, right = np.empty(n, np.uint8), np.empty(n, np.uint8)
         mask = np.zeros(n, dtype=np.uint64)  # bit v set: some move is worth v
         shifted = np.empty(n, dtype=np.uint64)
 
         def fold(cls):
-            # a loony class, -1, is a shift by 255, which numpy defines as 0
+            # a loony class is a byte of 64 or more, a shift numpy defines as 0
             np.left_shift(np.uint64(1), cls.view(np.uint8), out=shifted)
             np.bitwise_or(mask, shifted, out=mask)
 
+        def step(k):
+            # w[k] is stopped exactly when w[k:] has rank >= C[m-1-k]; move
+            # it from the suffix onto the front of the reversed prefix
+            np.greater_equal(s, C[m - 1 - k], out=bit)
+            np.subtract(s, np.multiply(bit, C[m - 1 - k], out=weighted), out=s)
+            np.add(rr, np.multiply(bit, C[k], out=weighted), out=rr)
+
         # end move at file 0: colon file w[0] with tail w[1:] is the word
-        fold(CL[m - 1][lo:hi])
-        suffix(0)
-        suffix(1)
-        rr = bits[0].astype(np.int64)  # rank of reversed w[:k]; C[0] == 1
-        a_pre = np.zeros(n, dtype=np.int64)  # rank of w[:k-1]
-        b_aux = np.zeros(n, dtype=np.int64)
-        weighted = np.empty(n, dtype=np.int64)
-        side_rev, side_fwd = np.empty(n, np.int8), np.empty(n, np.int8)
-        left, right = np.empty(n, np.int8), np.empty(n, np.int8)
-        ok, ok_fwd = np.empty(n, bool), np.empty(n, bool)
+        fold(CL[lo:hi])
+        step(0)
         for k in range(1, m - 1):
-            suffix(k + 1)
-            a, c, b = bits[k - 1], bits[k], bits[k + 1]
-            np.multiply(c, C[k], out=weighted)
-            np.add(rr, weighted, out=rr)  # now reversed w[:k+1]
-            # colon file w[k] with tail reversed w[:k] is reversed w[:k+1],
-            # and with tail w[k+1:] it is w[k:].  Ranks are in range by
-            # construction; clip mode spares take the buffered copy that
+            # the move at file k reads its right side from w[k:] and its
+            # left side from reversed w[:k+1].  Ranks are in range by
+            # construction; clip mode spares the buffered copy that
             # mode="raise" makes of ``out``
-            np.take(CL[k], rr, out=side_rev, mode="clip")
-            np.take(CL[m - k - 1], ranks[k % 3], out=side_fwd, mode="clip")
-            np.greater_equal(side_rev, 0, out=ok)
-            np.logical_or(ok, a, out=ok)
-            np.greater_equal(side_fwd, 0, out=ok_fwd)
-            np.logical_or(ok_fwd, b, out=ok_fwd)
-            np.logical_and(ok, ok_fwd, out=ok)
-            np.take(EPS[k - 1], a_pre, out=left, mode="clip")
-            np.take(EPS[m - k - 2], ranks[(k + 2) % 3], out=right,
-                    mode="clip")
-            np.bitwise_xor(left, right, out=left)
-            # ok - 1 is 0 or -1, all bits set, so this writes -1 for loony
-            np.bitwise_or(left, np.subtract(ok, 1, out=right, dtype=np.int8),
-                          out=left)
-            fold(left)
-            # A[k] = A[k-1] + A[k-2] + w[k-2] + w[k-1]; b_aux holds
-            # A[k-2] + w[k-2], so swap roles after two in-place adds
-            np.add(a_pre, a, out=a_pre)
-            np.add(b_aux, a_pre, out=b_aux)
-            a_pre, b_aux = b_aux, a_pre
-        np.multiply(bits[m - 1], C[m - 1], out=weighted)
+            np.take(SIDE[m - k], s, out=right, mode="clip")
+            step(k)
+            np.take(SIDE[k + 1], rr, out=left, mode="clip")
+            np.bitwise_xor(left, right, out=right)
+            np.bitwise_and(left, 64, out=left)  # two loony sides cancel in xor
+            fold(np.bitwise_or(left, right, out=left))
+        step(m - 1)
         # mirror end move: file m-1, tail reversed w[:m-1]
-        fold(CL[m - 1][np.add(rr, weighted, out=rr)])
+        fold(CL[rr])
         np.add(mask, np.uint64(1), out=shifted)
         np.bitwise_and(np.invert(mask, out=mask), shifted, out=mask)
         out[lo:hi] = np.log2(mask)  # lowest unset bit of the move mask

@@ -244,7 +244,8 @@ class PeriodicTable:
         """Class of the move at each file of the length-L words starting at
         the given consecutive phases (such as ``[q]`` or ``range(p)``): a
         (len(phases), L) array, -1 for loony.  Reads only lengths below L.
-        Raises ValueError unless the phases are consecutive in 0..p-1.
+        Raises ValueError unless the phases are consecutive in 0..p-1 and
+        0 <= L <= n + 1 for a table of length n.
 
         An end move is classified by the colon class of the rest of the
         word.  An interior move at file k is non-loony when each side
@@ -260,6 +261,11 @@ class PeriodicTable:
         a = int(q[0]) if m else 0
         if a < 0 or a + m > p or not np.array_equal(q, self._phases[a:a + m]):
             raise ValueError(f"phases must be consecutive phases of 0..{p - 1}")
+        # the arrays hold lengths 0..width - 1, ahead of n during a fill
+        width = self.E.shape[1]
+        if not 0 <= L <= width:
+            raise ValueError(f"L = {L} is outside 0..{width} for a table "
+                             f"of length {width - 1}")
         out = np.zeros((m, L), dtype=np.int32)
         if L <= 1:
             return out  # the lone pawn's move is a move to 0
@@ -270,7 +276,6 @@ class PeriodicTable:
         # for k = 1 .. L - 2: E[q, k - 1] and the side bit of CR[q, k] by
         # start row; E[(q + k + 2) % p, L - 2 - k] and the side bit of
         # CF[(q + k + 1) % p, L - 1 - k] by end row, in reversed columns
-        width = self.E.shape[1]
         e1 = self.E[a:a + m, :L - 2]
         left = self.left_loony[a:a + m, 1:L - 1]
         e2 = self.EE[:, width - L + 2:]

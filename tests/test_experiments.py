@@ -128,6 +128,25 @@ def test_scan_tables_pinned(chunk_size, workers):
                 == _CL_SHA256[m]), m
 
 
+def test_scan_side_table_matches_definition():
+    # SIDE[j][rank u] is the value of u[2:], or a byte with bit 6 set when
+    # u[1] is open and the colon class of (u[0]; u[1:]) is loony
+    st = ScanTables(chunk_size=1 << 6)
+    for m in range(1, 16):
+        st.build(m)
+        assert len(st.SIDE) == m  # no side table for the top tier
+    for j in range(2, 15):
+        side = st.SIDE[j]
+        assert side.dtype == np.uint8 and side.size == count_words(j)
+        for r in range(side.size):
+            u = st.unrank(j, r)
+            if u[1] == 0 and st.CL[j - 1][u[0], st.rank(u[1:])] < 0:
+                assert side[r] & 64, (j, str(u))
+            else:
+                value = st.EPS[j - 2][st.rank(u[2:])]
+                assert side[r] == value < 64, (j, str(u))
+
+
 def test_workers_must_be_positive():
     for workers in (0, -1):
         with pytest.raises(ValueError):

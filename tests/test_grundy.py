@@ -355,6 +355,14 @@ def test_move_classes_rejects_scattered_phases():
             t.move_classes(phases, 5)
 
 
+def test_move_classes_rejects_lengths_the_table_lacks():
+    t = PeriodicTable(PeriodicPattern(6, frozenset({4})))
+    assert t.move_classes([0], 1).shape == (1, 1)
+    for table, L in ((t, 2), (t, -1), (PeriodicTable(t.pattern, 10), 12)):
+        with pytest.raises(ValueError, match=f"table of length {table.n}"):
+            table.move_classes([0], L)
+
+
 @pytest.mark.parametrize("change", [
     {"E": np.zeros((3, 5), dtype=np.int32),
      "CF": np.zeros((2, 2), dtype=np.int32)},
