@@ -62,28 +62,29 @@ def two_sig_figs(x: float) -> float:
 
 
 class ScanTables:
-    """Per-length value and colon-class arrays over all valid words.
+    """Per-length value and colon tables over all valid words.
 
-    EPS[m][r] is the value of the rank-r word of length m.  CL[m] is a
-    (2, count) array of colon classes for tails of length m, indexed by
-    the colon-file flag and the tail's rank; -1 encodes loony.  A stopped
-    first file adds C[m] to a rank, so the flat index ``c * C[m] + r`` into
-    ``CL[m].ravel()`` is the rank of the length-(m + 1) word made of the
-    colon file and the tail.  An end move therefore reads its colon class
-    with one flat gather at the rank of the word or of its reverse.
+    EPS[m][r] is the value of the rank-r word of length m.  CL[m], uint8
+    with C[m + 1] entries, serves the colon words u of length m + 1: the
+    colon file u[0] and a tail u[1:] of length m.  It is indexed by the
+    rank of u, which is ``c * C[m] + r`` for a colon file that is stopped
+    (c = 1) or open (c = 0) and a tail of rank r.  Each byte holds
 
-    SIDE[j], uint8 and rank-indexed, serves the interior moves.  Read a
-    length-j word u as the moving file u[0], its neighbour u[1] and the
-    piece u[2:] left behind.  SIDE[j][rank u] is the value of u[2:], or a
-    loony byte, one with bit 6 set, when u[1] is open and the colon class
-    of (u[0]; u[1:]) is loony; values are at most the length, so below 64.
-    The move at file k of a length-m word reads its right side r at the
-    rank of w[k:] and its left side l at the rank of reversed w[:k+1],
-    whose piece is the reverse of w[:k-1] and has its value.  Its class
-    is ``(l ^ r) | (l & 64)``, loony when either side is.  Tier m reads
-    SIDE[2..m-1], so SIDE[j] is built at the start of tier j + 1 and the
-    top tier never has one (SIDE[0] and SIDE[1] are None): one byte per
-    word below the top tier.
+    - bits 0-5: the value of u[2:], the piece a capture leaves; values are
+      at most the length, so below 64;
+    - bit 7: the colon class of (u[0]; u[1:]) is loony;
+    - bit 6: bit 7 is set and u[1] is open.
+
+    A colon class that is not loony is the value of u[2:], so a byte below
+    64 is the class itself.  An end move reads CL[m - 1] at the rank of the
+    word or of its reverse, and folds a loony byte as a shift of 64 or
+    more, which numpy defines as 0.  An interior move at file k leaves a
+    piece on each side, and a side is loony when bit 6 is set.  The right
+    side r is CL[m - k - 1] at the rank of w[k:]; the left side l is CL[k]
+    at the rank of reversed w[:k+1], whose piece is the reverse of
+    w[:k-1] and has its value.  The class is ``((l ^ r) & 127) | (l & 64)``:
+    bit 7 drops out, and the class is 64 or more when either side is loony.
+    The tables take 1 + C[m + 1] / C[m], about 2.6 bytes per word.
 
     Tiers are filled in chunks of ``chunk_size`` consecutive ranks.  A
     chunk holds one file-bit row and seven chunk-length rank and scratch
@@ -100,8 +101,7 @@ class ScanTables:
         self.workers = workers
         self.C = [1, 2]  # valid word counts by length
         self.EPS = [np.zeros(1, dtype=np.int8)]
-        self.CL = [np.full((2, 1), -1, dtype=np.int8)]
-        self.SIDE = []  # lengths 0..max_length - 1; None below 2
+        self.CL = [np.full(2, 128, dtype=np.uint8)]  # 0 and 1 have no u[1]
 
     def _count(self, n: int) -> int:
         while len(self.C) <= n:
@@ -120,29 +120,21 @@ class ScanTables:
             self._tier(m)
 
     def _tier(self, m: int) -> None:
-        self.SIDE.append(self._side(m - 1) if m >= 3 else None)
         n_words = self._count(m)
         eps = np.empty(n_words, dtype=np.int8)
+        cl = np.empty(self._count(m + 1), dtype=np.uint8)
         if m == 1:
             eps[:] = 1
+            # 00, 01 and 10 are loony and leave an empty piece; 01 has a
+            # stopped u[1]
+            cl[:] = (192, 128, 192)
         else:
             self._run_chunks(n_words,
                              lambda lo, hi: self._eps_chunk(m, lo, hi, eps))
-        self.EPS.append(eps)
-        cl = np.full((2, n_words), -1, dtype=np.int8)
-        if m >= 2:
             self._run_chunks(n_words,
                              lambda lo, hi: self._cl_chunk(m, lo, hi, cl))
+        self.EPS.append(eps)
         self.CL.append(cl)
-
-    def _side(self, j: int) -> np.ndarray:
-        C = self.C
-        # a colon class is loony, -1 and so 0xFF here, or already the
-        # value of u[2:]
-        side = self.CL[j - 1].ravel()[:C[j]].view(np.uint8).copy()
-        # u = 0 1 0...: a stopped neighbour is never loony
-        side[C[j - 2]:C[j - 1]] = self.EPS[j - 2][:C[j - 1] - C[j - 2]]
-        return side
 
     def _run_chunks(self, total: int, fn) -> None:
         spans = [(lo, min(lo + self.chunk_size, total))
@@ -155,8 +147,7 @@ class ScanTables:
             list(pool.map(lambda span: fn(*span), spans))
 
     def _eps_chunk(self, m: int, lo: int, hi: int, out: np.ndarray) -> None:
-        C, SIDE = self.C, self.SIDE
-        CL = self.CL[m - 1].ravel()
+        C, CL = self.C, self.CL
         n = hi - lo
         s = np.arange(lo, hi, dtype=np.int64)  # rank of the suffix w[k:]
         rr = np.zeros(n, dtype=np.int64)  # rank of reversed w[:k]
@@ -168,7 +159,7 @@ class ScanTables:
 
         def fold(cls):
             # a loony class is a byte of 64 or more, a shift numpy defines as 0
-            np.left_shift(np.uint64(1), cls.view(np.uint8), out=shifted)
+            np.left_shift(np.uint64(1), cls, out=shifted)
             np.bitwise_or(mask, shifted, out=mask)
 
         def step(k):
@@ -179,22 +170,25 @@ class ScanTables:
             np.add(rr, np.multiply(bit, C[k], out=weighted), out=rr)
 
         # end move at file 0: colon file w[0] with tail w[1:] is the word
-        fold(CL[lo:hi])
+        fold(CL[m - 1][lo:hi])
         step(0)
         for k in range(1, m - 1):
             # the move at file k reads its right side from w[k:] and its
             # left side from reversed w[:k+1].  Ranks are in range by
             # construction; clip mode spares the buffered copy that
             # mode="raise" makes of ``out``
-            np.take(SIDE[m - k], s, out=right, mode="clip")
+            np.take(CL[m - k - 1], s, out=right, mode="clip")
             step(k)
-            np.take(SIDE[k + 1], rr, out=left, mode="clip")
+            np.take(CL[k], rr, out=left, mode="clip")
             np.bitwise_xor(left, right, out=right)
+            # bit 7 marks a loony colon class, which need not make its side
+            # loony
+            np.bitwise_and(right, 127, out=right)
             np.bitwise_and(left, 64, out=left)  # two loony sides cancel in xor
             fold(np.bitwise_or(left, right, out=left))
         step(m - 1)
         # mirror end move: file m-1, tail reversed w[:m-1]
-        fold(CL[rr])
+        fold(CL[m - 1][rr])
         np.add(mask, np.uint64(1), out=shifted)
         np.bitwise_and(np.invert(mask, out=mask), shifted, out=mask)
         out[lo:hi] = np.log2(mask)  # lowest unset bit of the move mask
@@ -202,18 +196,23 @@ class ScanTables:
     def _cl_chunk(self, m: int, lo: int, hi: int, out: np.ndarray) -> None:
         C, EPS, CL = self.C, self.EPS, self.CL
         # tails starting with 0 (rank < C[m-1]) and with 1 are two slices;
-        # the tail itself is the flat index of its colon class at m - 1
+        # a tail's rank indexes its own colon byte at m - 1, and cap is the
+        # value of tail[1:], which is u[2:]
         mid = min(max(C[m - 1], lo), hi)
         cap = np.concatenate((EPS[m - 1][lo:mid],
-                              EPS[m - 1][mid - C[m - 1]:hi - C[m - 1]]))
-        adv = CL[m - 1].ravel()[lo:hi]
-        out[0, lo:hi] = np.where(adv == cap, -1, cap)
-        if m >= 3 and lo < mid:
-            # stopped colon file: the tail starts with 0, and the forced
-            # advance leaves the colon file tail[1] with tail tail[2:]
-            cap_u = cap[:mid - lo]
-            adv_u = CL[m - 2].ravel()[lo:mid]
-            out[1, lo:mid] = np.where(adv_u == cap_u, cap_u, -1)
+                              EPS[m - 1][mid - C[m - 1]:hi - C[m - 1]]
+                              )).view(np.uint8)
+        # open colon file: loony when the advance is worth the capture.  A
+        # loony byte is at least 128 and equals no value
+        loony = (CL[m - 1][lo:hi] == cap).view(np.uint8)
+        out[lo:hi] = cap | loony << 7
+        out[lo:mid] |= loony[:mid - lo] << 6  # u[1] = tail[0] is open
+        # stopped colon file: the tail starts with 0, and the forced advance
+        # leaves the colon file tail[1] with tail tail[2:]
+        cap_u = cap[:mid - lo]
+        loony_u = (CL[m - 2][lo:mid] != cap_u).view(np.uint8)
+        # u[1] = tail[0] is open, so a loony class sets both bits
+        out[C[m] + lo:C[m] + mid] = cap_u | loony_u * 192
 
     # -- queries ------------------------------------------------------------
 
@@ -278,14 +277,10 @@ def value_distribution(m: int, tables: ScanTables) -> DistributionRow:
 
 
 def periodic_scan(pattern: PeriodicPattern, max_length: int,
-                  table: Optional[PeriodicTable] = None,
                   detect: bool = True) -> PeriodicScanResult:
     """Values of the pattern family up to max_length, the least length
     attaining each power of two, and the detected period if any."""
-    if table is None:
-        table = PeriodicTable(pattern, max_length)
-    else:
-        table.extend(max_length)
+    table = PeriodicTable(pattern, max_length)
     values = table.values()[:max_length + 1]
     milestones = power_milestones(values)
     report = detect_period(values, pattern, table) if detect else None

@@ -5,7 +5,6 @@ the closed form for unstopped components; and period detection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -395,13 +394,13 @@ def detect_period(values, pattern: PeriodicPattern,
             window = (n0 + P, 2 * (n0 + P) + 3)
             verified = False
             if table is not None and table.n >= window[1]:
-                verified = verify_period_window(table, pattern, n0, P)
+                verified = verify_period_window(table, n0, P)
             return PeriodReport(pattern, n0, P, verified, window)
     return None
 
 
-def verify_period_window(table: PeriodicTable, pattern: PeriodicPattern,
-                         preperiod: int, period: int) -> bool:
+def verify_period_window(table: PeriodicTable, preperiod: int,
+                         period: int) -> bool:
     """Doubling-window proof check: values must repeat with the claimed
     period, on every start phase, for all lengths from preperiod+period up
     to twice (preperiod+period) plus three.  Three is the most files one
@@ -416,34 +415,3 @@ def verify_period_window(table: PeriodicTable, pattern: PeriodicPattern,
     E = table.E
     return bool(np.array_equal(E[:, lo:hi + 1], E[:, lo - period:hi + 1 - period]))
 
-
-# ---------------------------------------------------------------------------
-# value-dump format, as experiments.write_report writes it for periodic
-# runs: '#' provenance line, a '#phase-table:' checkpoint that records what
-# was computed (enough to rebuild and extend a run), then one
-# 'length,value' record per line.
-
-def load_dump(fh):
-    """Read a value dump back: returns (pattern, values array).  Lines
-    starting '#' other than the checkpoint are ignored."""
-    pattern = None
-    lengths = []
-    vals = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#phase-table:"):
-            meta = json.loads(line.split(":", 1)[1])
-            pattern = PeriodicPattern(meta["period"],
-                                      frozenset(meta["stopped"]),
-                                      meta["file_origin"])
-            continue
-        if line.startswith("#"):
-            continue
-        a, b = line.split(",")
-        lengths.append(int(a))
-        vals.append(int(b))
-    if lengths != list(range(len(lengths))):
-        raise ValueError("dump records must cover lengths 0..n in order")
-    return pattern, np.array(vals, dtype=np.int64)

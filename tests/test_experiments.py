@@ -55,8 +55,10 @@ def test_workers_deterministic():
         assert np.array_equal(seq.CL[m], par.CL[m])
 
 
-# sha256 of the bytes of EPS[m] and CL[m] (int8) for m = 0..24, as the
-# rank sweep computed them before it was rewritten for cache-sized chunks
+# sha256 of the bytes of EPS[m] and of CL[m] in the (2, C[m]) int8 layout
+# it had before one table per length held both loony bits, for m = 0..24,
+# as the rank sweep computed them before it was rewritten for cache-sized
+# chunks
 _EPS_SHA256 = [
     "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",  # 0
     "9dcf97a184f32623d11a73124ceb99a5709b083721e878a16d78f596718ba7b2",  # 1
@@ -113,6 +115,15 @@ _CL_SHA256 = [
 ]
 
 
+def _old_colon_layout(cl, n):
+    """CL[m] as the (2, C[m]) int8 array of colon classes, indexed by the
+    stopped colon file flag and the tail rank: -1 for loony, and -1 for
+    the stopped colon files whose tail starts with a stopped file"""
+    old = np.full(2 * n, -1, dtype=np.int8)
+    old[:cl.size] = np.where(cl & 128, np.int8(-1), cl.view(np.int8))
+    return old.reshape(2, n)
+
+
 # the default chunk, and 1000 ranks, which divides no tier size, with
 # threads: a change to the sweep must reproduce every tier exactly
 @pytest.mark.parametrize("chunk_size, workers", [(1 << 16, 1), (1000, 2)])
@@ -120,31 +131,29 @@ def test_scan_tables_pinned(chunk_size, workers):
     st = ScanTables(chunk_size=chunk_size, workers=workers)
     st.build(24)
     for m in range(25):
-        assert st.EPS[m].dtype == st.CL[m].dtype == np.int8
-        assert st.CL[m].shape == (2, count_words(m))
+        assert st.EPS[m].dtype == np.int8 and st.CL[m].dtype == np.uint8
+        assert st.CL[m].shape == (count_words(m + 1),)
         assert (hashlib.sha256(st.EPS[m].tobytes()).hexdigest()
                 == _EPS_SHA256[m]), m
-        assert (hashlib.sha256(st.CL[m].tobytes()).hexdigest()
-                == _CL_SHA256[m]), m
+        old = _old_colon_layout(st.CL[m], count_words(m))
+        assert hashlib.sha256(old.tobytes()).hexdigest() == _CL_SHA256[m], m
 
 
-def test_scan_side_table_matches_definition():
-    # SIDE[j][rank u] is the value of u[2:], or a byte with bit 6 set when
-    # u[1] is open and the colon class of (u[0]; u[1:]) is loony
+def test_scan_colon_table_matches_definition():
+    # CL[m][rank u] for a colon word u of m + 1 files: bits 0-5 hold the
+    # value of u[2:], loony or not, and bit 6 is set when bit 7 (loony)
+    # is and u[1] is open
     st = ScanTables(chunk_size=1 << 6)
-    for m in range(1, 16):
-        st.build(m)
-        assert len(st.SIDE) == m  # no side table for the top tier
-    for j in range(2, 15):
-        side = st.SIDE[j]
-        assert side.dtype == np.uint8 and side.size == count_words(j)
-        for r in range(side.size):
-            u = st.unrank(j, r)
-            if u[1] == 0 and st.CL[j - 1][u[0], st.rank(u[1:])] < 0:
-                assert side[r] & 64, (j, str(u))
-            else:
-                value = st.EPS[j - 2][st.rank(u[2:])]
-                assert side[r] == value < 64, (j, str(u))
+    st.build(14)
+    for m in range(15):
+        for r, byte in enumerate(st.CL[m].tolist()):
+            u = st.unrank(m + 1, r)
+            piece = u[2:]
+            assert byte & 63 == st.EPS[len(piece)][st.rank(piece)], str(u)
+            open_neighbour = len(u) > 1 and u[1] == 0
+            assert bool(byte & 64) == bool(byte & 128 and open_neighbour), \
+                str(u)
+            assert byte & 128 or byte < 64, str(u)
 
 
 def test_workers_must_be_positive():
