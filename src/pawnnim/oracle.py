@@ -9,12 +9,16 @@ summands: either player may shrink it to any smaller size.
 
 The search knows nothing about components or colon notation, so it is an
 independent check on the classification engine.  Pawn moves are stated
-once, in a per-square move table built for a board's geometry (its width
-and stopped files): for each side and each square, the moves of a pawn
-standing there, each with its destination bit and whether it wins on the
-spot.  ``legal_moves`` and ``Solver`` both read that table; the solver
-searches over raw ints, checks touchdown only at its root, and is bound
-to the one geometry it first sees.
+once, in ``_move_sets``, as whole-board shifts of the square bits
+(file*3 + row-1): White advances by +1 and captures toward the lower and
+the higher file by -2 and +4, Black by -1, -4 and +2.  Masks from the
+board geometry (its width and stopped files) keep each side's pawns on
+the rows they can move from and mark the far-row squares of unstopped
+files.  ``legal_moves``, ``principal_variation``,
+``BoardPosition.touchdown_winner`` and ``Solver`` all read them.  The
+solver searches raw ints under one packed int key per position, checks
+touchdown only at its root, tries children in ``legal_moves`` order, and
+is bound to the one geometry it first sees.
 """
 
 from __future__ import annotations
@@ -73,14 +77,13 @@ class BoardPosition:
         return "."
 
     def touchdown_winner(self) -> Optional[int]:
-        for f in range(self.width):
-            if f in self.stopped:
-                continue
-            if self.white & _bit(f, 3):
-                return WHITE
-            if self.black & _bit(f, 1):
-                return BLACK
-        return None
+        far = _masks(self.width, self.stopped)[1]
+        white, black = self.white & far[WHITE], self.black & far[BLACK]
+        # the lowest file with a touchdown wins, White first on a shared
+        # file: White's far-row bit sits two above Black's
+        if white and (not black or (white & -white) >> 2 <= black & -black):
+            return WHITE
+        return BLACK if black else None
 
 
 @dataclass(frozen=True)
@@ -120,53 +123,66 @@ def initial_position(components: Iterable["Word | str"],
                          side_to_move)
 
 
-def _move_table(width: int, stopped: frozenset) -> tuple:
-    """Per side, per square (file*3 + row-1): the moves of a pawn standing
-    there, in the order they are tried (advance, capture left, capture
-    right), as (destination bit, capture, wins at once, Move).  A move
-    wins at once when it reaches the far row of an unstopped file."""
-    table = []
-    for step, far in ((1, 3), (-1, 1)):
-        squares = []
-        for sq in range(3 * width):
-            f, r = divmod(sq, 3)
-            r += 1
-            to = r + step
-            moves = []
-            if 1 <= to <= 3:
-                for nf in (f, f - 1, f + 1):
-                    if 0 <= nf < width:
-                        capture = nf != f
-                        moves.append((_bit(nf, to), capture,
-                                      to == far and nf not in stopped,
-                                      Move(f, r, nf, to, capture)))
-            squares.append(tuple(moves))
-        table.append(tuple(squares))
-    return tuple(table)
+def _masks(width: int, stopped: frozenset) -> tuple:
+    """Per side, the squares a pawn can move from (rows 1-2 for White,
+    rows 2-3 for Black) and the far-row squares of unstopped files."""
+    row = sum(1 << 3 * f for f in range(width))
+    far = sum(1 << 3 * f for f in range(width) if f not in stopped)
+    return (row | row << 1, row << 1 | row << 2), (far << 2, far)
 
 
-def _moves_of(pos: BoardPosition, table: tuple) -> "list[tuple]":
-    """The legal moves of the side to move, as (Move, wins at once)."""
-    own, other = ((pos.white, pos.black) if pos.side_to_move == WHITE
+def _move_sets(side: int, own: int, other: int, movable: int) -> tuple:
+    """Every pawn move of ``side`` at once, as whole-board shifts of the
+    bits (file*3 + row-1); ``own`` holds the pawns of ``side`` and
+    ``other`` the rival's.  For advance, capture toward the lower file and
+    capture toward the higher file, in that order: the set of pawns that
+    can make the move, then the set of squares they land on.  White moves
+    by +1, -2 and +4, Black by -1, -4 and +2; ``movable`` keeps each pawn
+    on a row it can move from, and a shift past an edge file meets no
+    pawn."""
+    empty = ~(own | other)
+    own &= movable
+    if side == WHITE:
+        adv, capl, capr = (own & (empty >> 1), own & (other << 2),
+                           own & (other >> 4))
+        return adv, capl, capr, adv << 1, capl >> 2, capr << 4
+    adv, capl, capr = (own & (empty << 1), own & (other << 4),
+                       own & (other >> 2))
+    return adv, capl, capr, adv >> 1, capl >> 4, capr << 2
+
+
+def _moves_of(pos: BoardPosition) -> "list[tuple]":
+    """The legal moves of the side to move, as (Move, wins at once): own
+    pawns low bit first; for each, advance, capture toward the lower file,
+    capture toward the higher file.  A move wins at once when it reaches
+    the far row of an unstopped file."""
+    movable, far = _masks(pos.width, pos.stopped)
+    side = pos.side_to_move
+    own, other = ((pos.white, pos.black) if side == WHITE
                   else (pos.black, pos.white))
-    empty = ~(pos.white | pos.black)
-    squares = table[pos.side_to_move]
+    adv, capl, capr, *dests = _move_sets(side, own, other, movable[side])
     out = []
-    bb = own
+    bb = adv | capl | capr
     while bb:
         low = bb & -bb
         bb ^= low
-        for dest, capture, wins, mv in squares[low.bit_length() - 1]:
-            if (other if capture else empty) & dest:
-                out.append((mv, wins))
+        src_file, src_row = divmod(low.bit_length() - 1, 3)
+        for i, sources in enumerate((adv, capl, capr)):
+            if sources & low:
+                # shifts keep order, so this pawn lands on the lowest
+                # square of the set not yet taken
+                dest = dests[i] & -dests[i]
+                dests[i] ^= dest
+                to_file, to_row = divmod(dest.bit_length() - 1, 3)
+                out.append((Move(src_file, src_row + 1, to_file, to_row + 1,
+                                 i > 0), bool(dest & far[side])))
     return out
 
 
 def legal_moves(pos: BoardPosition) -> "list[Move]":
-    """Own pawns low bit first; for each, advance, capture left, capture
-    right."""
-    return [mv for mv, _ in _moves_of(pos, _move_table(pos.width,
-                                                       pos.stopped))]
+    """Own pawns low bit first; for each, advance, capture toward the
+    lower file, capture toward the higher file."""
+    return [mv for mv, _ in _moves_of(pos)]
 
 
 def apply_move(pos: BoardPosition, mv: Move) -> BoardPosition:
@@ -192,27 +208,35 @@ def apply_move(pos: BoardPosition, mv: Move) -> BoardPosition:
 class Solver:
     """Memoized exact search over (white, black, side, heap) as raw ints.
 
-    The memo key is the two bitboards, the side to move and the heap; it
-    does not name the board's width or stopped files, so a solver is bound
-    to the geometry of the first position it is asked about and raises
-    ValueError for any other.  Moves come from the geometry's per-square
-    move table.  Touchdown is checked only at the root: a move that wins
-    at once ends the search of its position before any child is searched,
-    so every child reached is free of touchdowns.
+    The memo key packs the position into one int,
+    ``((heap << S | black) << S | white) << 1 | side`` with S = 3 * width.
+    It names neither the board's width nor its stopped files, so a solver
+    is bound to the geometry of the first position it is asked about and
+    raises ValueError for any other.  Moves come from ``_move_sets``:
+    whole-board shifts give the pawns that can advance or capture either
+    way, and one AND of the squares they land on with the far-row mask of
+    unstopped files finds a move that wins at once, which ends the search
+    of its position before any child is searched.  Otherwise the children
+    are searched in the order of ``legal_moves`` (pawns low bit first;
+    advance, capture toward the lower file, capture toward the higher
+    file), then the heap reductions.  Touchdown is checked only at the
+    root, so every child reached is free of touchdowns.
     """
 
     def __init__(self, max_states: int = 4_000_000):
         self.memo = {}
         self.max_states = max_states
         self._geometry = None
-        self._table = None
+        self._bits = 0
+        self._movable = self._far = (0, 0)
 
     def wins(self, pos: BoardPosition, heap: int = 0) -> bool:
         """True when the side to move wins with best play."""
         geometry = (pos.width, frozenset(pos.stopped))
         if self._geometry is None:
             self._geometry = geometry
-            self._table = _move_table(*geometry)
+            self._bits = 3 * pos.width
+            self._movable, self._far = _masks(*geometry)
         elif geometry != self._geometry:
             raise ValueError(
                 f"solver is bound to width {self._geometry[0]} with stopped "
@@ -221,10 +245,16 @@ class Solver:
         winner = pos.touchdown_winner()
         if winner is not None:
             return winner == pos.side_to_move
-        return self._wins(pos.white, pos.black, pos.side_to_move, heap)
+        if pos.side_to_move == WHITE:
+            return self._wins(pos.white, pos.black, WHITE, heap)
+        return self._wins(pos.black, pos.white, BLACK, heap)
 
-    def _wins(self, white: int, black: int, side: int, heap: int) -> bool:
-        key = (white, black, side, heap)
+    def _wins(self, own: int, other: int, side: int, heap: int) -> bool:
+        """``own`` holds the pawns of the side to move, ``other`` the
+        rival's."""
+        bits = self._bits
+        white, black = (own, other) if side == WHITE else (other, own)
+        key = ((heap << bits | black) << bits | white) << 1 | side
         memo = self.memo
         cached = memo.get(key)
         if cached is not None:
@@ -232,47 +262,49 @@ class Solver:
         if len(memo) >= self.max_states:
             raise ResourceLimitError(
                 f"transposition table exceeded {self.max_states} entries")
-        own, other = (white, black) if side == WHITE else (black, white)
-        empty = ~(white | black)
-        squares = self._table[side]
-        children = []
+        adv, capl, capr, advd, capld, caprd = _move_sets(
+            side, own, other, self._movable[side])
+        if (advd | capld | caprd) & self._far[side]:
+            memo[key] = True
+            return True
+        # no child has a touchdown: the mover's only new far-row pawn would
+        # have won at once above, and the rival's pawns were checked at the
+        # root and only ever lose squares since
+        rival = 1 - side
         result = False
-        bb = own
+        bb = adv | capl | capr
+        # the three move kinds stay unrolled: one loop over them costs
+        # about 1.35x as much per position
         while bb:
             low = bb & -bb
             bb ^= low
-            for dest, capture, wins, _ in squares[low.bit_length() - 1]:
-                if capture:
-                    if not other & dest:
-                        continue
-                    children.append((own ^ low ^ dest, other ^ dest))
-                elif empty & dest:
-                    children.append((own ^ low ^ dest, other))
-                else:
-                    continue
-                if wins:
+            # shifts keep order, so each pawn lands on the lowest square of
+            # its move's set not yet taken
+            if adv & low:
+                dest = advd & -advd
+                advd ^= dest
+                if not self._wins(other, own ^ low ^ dest, rival, heap):
                     result = True
                     break
-            if result:
-                break
+            if capl & low:
+                dest = capld & -capld
+                capld ^= dest
+                if not self._wins(other ^ dest, own ^ low ^ dest, rival,
+                                  heap):
+                    result = True
+                    break
+            if capr & low:
+                dest = caprd & -caprd
+                caprd ^= dest
+                if not self._wins(other ^ dest, own ^ low ^ dest, rival,
+                                  heap):
+                    result = True
+                    break
         if not result:
-            # no child has a touchdown: the mover's only new far-row pawn
-            # would have won at once above, and the rival's pawns were
-            # checked at the root and only ever lose squares since
-            rival = 1 - side
-            for child_own, child_other in children:
-                if side == WHITE:
-                    child = self._wins(child_own, child_other, rival, heap)
-                else:
-                    child = self._wins(child_other, child_own, rival, heap)
-                if not child:
+            for smaller in range(heap):
+                if not self._wins(other, own, rival, smaller):
                     result = True
                     break
-            else:
-                for smaller in range(heap):
-                    if not self._wins(white, black, rival, smaller):
-                        result = True
-                        break
         memo[key] = result
         return result
 
@@ -316,18 +348,39 @@ def oracle_is_loony(word: "Word | str", k: int, max_heap: int = 3,
     return all(Solver(max_states).wins(after, j) for j in range(max_heap + 1))
 
 
+def solve_word(word: "Word | str",
+               max_heap: int = 5) -> "tuple[int, tuple]":
+    """The value of [word] and, per file, whether its move is loony, from
+    one search.  The value is the unique heap j <= max_heap against which
+    the word loses; a file's move is loony when its advance wins for the
+    opponent against every j <= max_heap.  The advances are children of
+    the root, so their searches share the root's memo.  The default bound
+    of 5 covers every value up to 10 files: *5 first appears at 11."""
+    w = word if isinstance(word, Word) else Word(word)
+    pos = initial_position([w])
+    solver = Solver()
+    losses = [j for j in range(max_heap + 1) if not solver.wins(pos, j)]
+    if len(losses) != 1:
+        raise NonUniqueHeapError(
+            f"[{w}] loses against heaps {losses}; expected exactly one "
+            f"j <= {max_heap}")
+    advances = [mv for mv in legal_moves(pos) if not mv.capture]
+    loony = tuple(all(solver.wins(apply_move(pos, mv), j)
+                      for j in range(max_heap + 1)) for mv in advances)
+    return losses[0], loony
+
+
 def principal_variation(pos: BoardPosition, heap: int = 0,
                         max_states: int = 4_000_000,
                         limit: int = 200) -> "list[str]":
     """Diagnostic line of play: winning moves where they exist, otherwise
     the first legal move.  Heap reductions print as "heap->j"."""
     solver = Solver(max_states)
-    table = _move_table(pos.width, pos.stopped)
     line = []
     while len(line) < limit:
         if pos.touchdown_winner() is not None:
             break
-        moves = _moves_of(pos, table)
+        moves = _moves_of(pos)
         chosen = None
         for mv, wins in moves:
             if wins or not solver.wins(apply_move(pos, mv), heap):

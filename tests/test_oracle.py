@@ -7,7 +7,7 @@ from pawnnim.oracle import (BLACK, WHITE, BoardPosition, NonUniqueHeapError,
                             ResourceLimitError, Solver, SumPosition,
                             apply_move, initial_position, legal_moves,
                             oracle_epsilon, oracle_is_loony, outcome,
-                            principal_variation)
+                            principal_variation, solve_word)
 from pawnnim.words import enumerate_words
 
 
@@ -72,14 +72,34 @@ def test_oracle_is_loony_examples():
     assert oracle_is_loony("1000", 0) is True
 
 
-def test_engine_oracle_agreement_small():
+def _check_engine_agreement(lengths):
     table = GrundyTable()
-    for m in range(1, 7):
+    for m in lengths:
         for w in enumerate_words(m):
-            assert oracle_epsilon(w) == epsilon(w, table), str(w)
-            for k in range(m):
-                assert (oracle_is_loony(w, k)
-                        == classify_move(w, k, table).is_loony), (str(w), k)
+            value, loony = solve_word(w)
+            assert value == epsilon(w, table), str(w)
+            assert loony == tuple(classify_move(w, k, table).is_loony
+                                  for k in range(m)), str(w)
+
+
+def test_engine_oracle_agreement_small():
+    # values and every file's loony bit, on every word of up to 7 files
+    _check_engine_agreement(range(1, 8))
+
+
+@pytest.mark.slow
+def test_engine_oracle_agreement_eight_files():
+    _check_engine_agreement([8])
+
+
+def test_solve_word_matches_the_per_heap_searches():
+    for text in ("0", "10", "1000", "00100"):
+        value, loony = solve_word(text, max_heap=3)
+        assert value == oracle_epsilon(text)
+        assert loony == tuple(oracle_is_loony(text, k)
+                              for k in range(len(text)))
+    with pytest.raises(NonUniqueHeapError):
+        solve_word("1000", max_heap=1)
 
 
 def test_oracle_search_sizes(monkeypatch):
@@ -95,12 +115,56 @@ def test_oracle_search_sizes(monkeypatch):
 
     monkeypatch.setattr(oracle, "Solver", CountingSolver)
     for word, states in (("1001000", 23342), ("1000000", 24051),
-                         ("0001000", 27207)):
+                         ("0001000", 27207), ("00100101", 304292)):
         solvers.clear()
         oracle_epsilon(word)
         for k in range(len(word)):
             oracle_is_loony(word, k)
         assert sum(len(s.memo) for s in solvers) == states, word
+
+
+def _reference_wins(pos, heap, memo):
+    """A plain search from the public API alone, with the solver's rules:
+    a move that reaches an unstopped far row wins at once; otherwise the
+    children in legal_moves order, then the heap reductions."""
+    key = (pos.white, pos.black, pos.side_to_move, heap)
+    if key in memo:
+        return memo[key]
+    moves = legal_moves(pos)
+    children = [apply_move(pos, mv) for mv in moves]
+    result = (any(c.touchdown_winner() is not None for c in children)
+              or any(not _reference_wins(c, heap, memo) for c in children)
+              or any(not _reference_wins(
+                  BoardPosition(pos.width, pos.stopped, pos.white, pos.black,
+                                1 - pos.side_to_move), j, memo)
+                  for j in range(heap)))
+    memo[key] = result
+    return result
+
+
+def test_solver_searches_the_reference_positions():
+    # same results and the same number of memo entries: the solver tries
+    # the same children in the same order and stops at the same one
+    boards = [[w] for m in range(1, 6) for w in enumerate_words(m)]
+    boards += [["00", "0"], ["10", "00"], ["000", "01"]]
+    for comps in boards:
+        pos = initial_position(comps)
+        solver, memo = Solver(), {}
+        for heap in range(4):
+            assert solver.wins(pos, heap) == _reference_wins(pos, heap, memo)
+            assert len(solver.memo) == len(memo), (comps, heap)
+
+
+def test_legal_moves_order():
+    # a White pawn on file 1 with an empty square ahead and Black pawns
+    # on both diagonals: advance, then the capture toward the lower file,
+    # then the one toward the higher file
+    pos = BoardPosition(3, frozenset(), 1 << 3, 1 << 1 | 1 << 7, WHITE)
+    assert legal_moves(pos) == [(1, 1, 1, 2, False), (1, 1, 0, 2, True),
+                                (1, 1, 2, 2, True)]
+    mirrored = BoardPosition(3, frozenset(), 1 << 1 | 1 << 7, 1 << 5, BLACK)
+    assert legal_moves(mirrored) == [(1, 3, 1, 2, False), (1, 3, 0, 2, True),
+                                     (1, 3, 2, 2, True)]
 
 
 def test_solver_is_bound_to_one_geometry():
