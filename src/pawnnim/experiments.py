@@ -6,14 +6,20 @@ The exhaustive engine stores one value array per word length, indexed by
 lexicographic rank.  Rank doubles as a content key, and the ranks of a
 word's suffixes and reversed prefixes obey one-step recurrences in the
 Fibonacci base, so a full sweep of length m costs O(m) array operations
-per word with every subword value shared across words.
+per word with every subword value shared across words.  The words of one
+length that share their first files are a run of consecutive ranks, and a
+length is filled in such blocks: a move on a shared file reads one side
+as a slice and the other as a single byte, and only the remaining files
+step the rank recurrences and gather.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from queue import SimpleQueue
 from typing import Optional
 
 import numpy as np
@@ -61,6 +67,44 @@ def two_sig_figs(x: float) -> float:
     return round(x, 1 - int(math.floor(math.log10(abs(x)))))
 
 
+def _mask_dtype(top: int):
+    """Move-mask dtype for a tier whose pieces have values up to ``top``.
+
+    A class is the XOR of two such values, so it is below 2^b for b the
+    bit length of ``top``; the mask needs a bit for each class and one more
+    for the mex.  Values never exceed the length, at most 60, so uint64
+    always holds."""
+    classes = 1 << top.bit_length()
+    return (np.uint16 if classes < 16 else np.uint32 if classes < 32
+            else np.uint64)
+
+
+def _mex(mask: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
+    """Write the lowest unset bit of each move mask to ``out``; ``mask`` is
+    overwritten and ``tmp`` is scratch of its dtype and length."""
+    np.add(mask, 1, out=tmp)
+    np.bitwise_and(np.invert(mask, out=mask), tmp, out=mask)
+    np.log2(mask, out=out, casting="unsafe")
+
+
+def _scratch(size: int, width) -> tuple:
+    """One worker's arrays for blocks of up to ``size`` words: the ranks
+    0..size-1, three int64 arrays, a mask of dtype ``width`` and two uint8
+    arrays.  They are views of one anonymous memory map, which goes back
+    to the system when the last view is dropped and leaves the allocator's
+    thresholds alone."""
+    dtypes = [np.dtype(t) for t in (np.int64,) * 4 + (width, np.uint8,
+                                                     np.uint8)]
+    buf = np.frombuffer(mmap.mmap(-1, size * sum(t.itemsize for t in dtypes)),
+                        dtype=np.uint8)
+    arrays, at = [], 0
+    for t in dtypes:
+        arrays.append(buf[at:at + size * t.itemsize].view(t))
+        at += size * t.itemsize
+    arrays[0][:] = np.arange(size)
+    return tuple(arrays)
+
+
 class ScanTables:
     """Per-length value and colon tables over all valid words.
 
@@ -77,24 +121,38 @@ class ScanTables:
 
     A colon class that is not loony is the value of u[2:], so a byte below
     64 is the class itself.  An end move reads CL[m - 1] at the rank of the
-    word or of its reverse, and folds a loony byte as a shift of 64 or
-    more, which numpy defines as 0.  An interior move at file k leaves a
-    piece on each side, and a side is loony when bit 6 is set.  The right
-    side r is CL[m - k - 1] at the rank of w[k:]; the left side l is CL[k]
-    at the rank of reversed w[:k+1], whose piece is the reverse of
+    word or of its reverse, and folds a loony byte as a shift past the
+    mask's width, which numpy defines as 0.  An interior move at file k
+    leaves a piece on each side, and a side is loony when bit 6 is set.
+    The right side r is CL[m - k - 1] at the rank of w[k:]; the left side l
+    is CL[k] at the rank of reversed w[:k+1], whose piece is the reverse of
     w[:k-1] and has its value.  The class is ``((l ^ r) & 127) | (l & 64)``:
     bit 7 drops out, and the class is 64 or more when either side is loony.
     The tables take 1 + C[m + 1] / C[m], about 2.6 bytes per word.
 
-    Tiers are filled in chunks of ``chunk_size`` consecutive ranks.  A
-    chunk holds one file-bit row and seven chunk-length rank and scratch
-    arrays that every step of the sweep reuses in place, 43 bytes per
-    rank, plus an 8-byte temporary for the final log2: 3.3 MB in all for
-    the default 2^16 ranks, at any length.  Chunks are independent, so worker
-    threads and sequential runs produce identical tables.
+    A tier is filled in blocks: the words that share their first j files,
+    for the least j that keeps every block within ``chunk_size`` words.
+    Such words are consecutive ranks, and the word i of a block with prefix
+    p has w[k:] at rank ``off_k + i`` for k <= j, where off_k counts the
+    stopped files of p[k:].  So the move at a prefix file k reads its right
+    side as a slice of CL[m - k - 1] and its left side as one byte of CL[k]
+    at the rank of reversed p[:k+1].  The sweep over the remaining files
+    gathers both sides, starting from suffix ranks 0..n-1.  The move masks
+    are uint16, uint32 or uint64, the narrowest that holds every class of
+    the tier (``_mask_dtype``).  A worker's scratch is sized to the tier's
+    largest block and reused for each block it fills: four int64 arrays
+    (the initial suffix ranks, the two ranks, and one for the rank step and
+    the class bits), the mask and two uint8 side arrays, 36 to 42 bytes
+    per rank.  At the default 2^16 blocks hold at most 46,368 words, so
+    that is at most 2.0 MB per worker, at any length.  Blocks are
+    independent, so worker threads and sequential runs produce identical
+    tables.
     """
 
     def __init__(self, chunk_size: int = 1 << 16, workers: int = 1):
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be at least 1, got "
+                             f"{chunk_size}")
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         self.chunk_size = chunk_size
@@ -129,71 +187,120 @@ class ScanTables:
             # stopped u[1]
             cl[:] = (192, 128, 192)
         else:
-            self._run_chunks(n_words,
-                             lambda lo, hi: self._eps_chunk(m, lo, hi, eps))
-            self._run_chunks(n_words,
-                             lambda lo, hi: self._cl_chunk(m, lo, hi, cl))
+            blocks = self._blocks(m)
+            self._eps_blocks(m, blocks, eps)
+            self._run_blocks(blocks, lambda block: self._cl_block(
+                m, block[1], block[1] + block[2], cl))
         self.EPS.append(eps)
         self.CL.append(cl)
 
-    def _run_chunks(self, total: int, fn) -> None:
-        spans = [(lo, min(lo + self.chunk_size, total))
-                 for lo in range(0, total, self.chunk_size)]
-        if self.workers == 1 or len(spans) == 1:
-            for lo, hi in spans:
-                fn(lo, hi)
+    def _blocks(self, m: int) -> list:
+        """(prefix, first rank, word count) of each block of tier m, in
+        rank order."""
+        C = self.C
+        j = next(j for j in range(m + 1) if C[m - j] <= self.chunk_size)
+        blocks = []
+
+        def grow(prefix, start):
+            k = len(prefix)
+            if k == j:
+                # a stopped file is followed by an open one
+                short = j < m and prefix[-1:] == (1,)
+                blocks.append((prefix, start, C[m - j - short]))
+                return
+            grow(prefix + (0,), start)
+            if not (prefix and prefix[-1]):
+                grow(prefix + (1,), start + C[m - 1 - k])
+
+        grow((), 0)
+        return blocks
+
+    def _eps_blocks(self, m: int, blocks: list, out: np.ndarray) -> None:
+        """Fill ``out`` with the values of tier m, block by block.  The
+        scratch is freed on return, before the colon table is written."""
+        size = max(n for _, _, n in blocks)
+        # the pieces of a move have at most m - 2 files
+        width = _mask_dtype(max(int(e.max()) for e in self.EPS[:m - 1]))
+        free = SimpleQueue()  # one scratch set per worker thread
+        for _ in range(min(self.workers, len(blocks))):
+            free.put(_scratch(size, width))
+
+        def fill(block):
+            scratch = free.get()
+            self._eps_block(m, *block, width, scratch, out)
+            free.put(scratch)
+
+        self._run_blocks(blocks, fill)
+
+    def _run_blocks(self, blocks: list, fn) -> None:
+        if self.workers == 1 or len(blocks) == 1:
+            for block in blocks:
+                fn(block)
             return
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            list(pool.map(lambda span: fn(*span), spans))
+            list(pool.map(fn, blocks))
 
-    def _eps_chunk(self, m: int, lo: int, hi: int, out: np.ndarray) -> None:
+    def _eps_block(self, m: int, prefix: tuple, start: int, n: int,
+                   width, scratch: tuple, out: np.ndarray) -> None:
         C, CL = self.C, self.CL
-        n = hi - lo
-        s = np.arange(lo, hi, dtype=np.int64)  # rank of the suffix w[k:]
-        rr = np.zeros(n, dtype=np.int64)  # rank of reversed w[:k]
-        weighted = np.empty(n, dtype=np.int64)
-        bit = np.empty(n, dtype=bool)
-        left, right = np.empty(n, np.uint8), np.empty(n, np.uint8)
-        mask = np.zeros(n, dtype=np.uint64)  # bit v set: some move is worth v
-        shifted = np.empty(n, dtype=np.uint64)
+        iota, s, rr, d, mask, left, right = (a[:n] for a in scratch)
+        # bit v of a mask: some move is worth v.  The rank step's scratch d
+        # also holds the class bits that a fold ORs into the mask
+        tmp = scratch[3].view(width)[:n]
+        one = width(1)
 
         def fold(cls):
-            # a loony class is a byte of 64 or more, a shift numpy defines as 0
-            np.left_shift(np.uint64(1), cls, out=shifted)
-            np.bitwise_or(mask, shifted, out=mask)
-
-        def step(k):
-            # w[k] is stopped exactly when w[k:] has rank >= C[m-1-k]; move
-            # it from the suffix onto the front of the reversed prefix
-            np.greater_equal(s, C[m - 1 - k], out=bit)
-            np.subtract(s, np.multiply(bit, C[m - 1 - k], out=weighted), out=s)
-            np.add(rr, np.multiply(bit, C[k], out=weighted), out=rr)
+            # a loony class is 64 or more, a shift numpy defines as 0
+            np.left_shift(one, cls, out=tmp)
+            np.bitwise_or(mask, tmp, out=mask)
 
         # end move at file 0: colon file w[0] with tail w[1:] is the word
-        fold(CL[m - 1][lo:hi])
-        step(0)
-        for k in range(1, m - 1):
-            # the move at file k reads its right side from w[k:] and its
-            # left side from reversed w[:k+1].  Ranks are in range by
-            # construction; clip mode spares the buffered copy that
-            # mode="raise" makes of ``out``
-            np.take(CL[m - k - 1], s, out=right, mode="clip")
-            step(k)
-            np.take(CL[k], rr, out=left, mode="clip")
-            np.bitwise_xor(left, right, out=right)
-            # bit 7 marks a loony colon class, which need not make its side
-            # loony
-            np.bitwise_and(right, 127, out=right)
-            np.bitwise_and(left, 64, out=left)  # two loony sides cancel in xor
-            fold(np.bitwise_or(left, right, out=left))
-        step(m - 1)
+        np.left_shift(one, CL[m - 1][start:start + n], out=mask)
+        # the moves at prefix files: w[k:] has rank off + i for word i, and
+        # reversed w[:k+1] is reversed p[:k+1] for every word
+        off, rho = start, 0
+        for k, flag in enumerate(prefix):
+            rho += flag * C[k]
+            if 0 < k < m - 1:
+                lbyte = int(CL[k][rho])
+                if not lbyte & 64:  # else every class of the move is loony
+                    np.bitwise_xor(CL[m - k - 1][off:off + n], lbyte & 63,
+                                   out=right)
+                    fold(np.bitwise_and(right, 127, out=right))
+            off -= flag * C[m - 1 - k]
+        np.copyto(s, iota)  # rank of the suffix w[k:]
+        rr.fill(rho)  # rank of reversed w[:k]
+        su, du = s.view(np.uint64), d.view(np.uint64)
+        for k in range(len(prefix), m):
+            interior = 0 < k < m - 1
+            if interior:
+                # the move at file k reads its right side from w[k:] and its
+                # left side from reversed w[:k+1].  Ranks are in range by
+                # construction; clip mode spares the buffered copy that
+                # mode="raise" makes of ``out``
+                np.take(CL[m - k - 1], s, out=right, mode="clip")
+            # w[k] is stopped exactly when w[k:] has rank >= C[m-1-k]; move
+            # it from the suffix onto the front of the reversed prefix.  s - c
+            # wraps when w[k] is open, so the unsigned minimum keeps s, and
+            # its sign bit masks C[k] out of the step of rr
+            np.subtract(su, C[m - 1 - k], out=du)
+            np.minimum(su, du, out=su)
+            np.right_shift(d, 63, out=d)
+            np.bitwise_and(np.invert(d, out=d), C[k], out=d)
+            np.add(rr, d, out=rr)
+            if interior:
+                np.take(CL[k], rr, out=left, mode="clip")
+                np.bitwise_xor(left, right, out=right)
+                # bit 7 marks a loony colon class, which need not make its
+                # side loony
+                np.bitwise_and(right, 127, out=right)
+                np.bitwise_and(left, 64, out=left)  # two loony sides cancel
+                fold(np.bitwise_or(left, right, out=left))
         # mirror end move: file m-1, tail reversed w[:m-1]
-        fold(CL[m - 1][rr])
-        np.add(mask, np.uint64(1), out=shifted)
-        np.bitwise_and(np.invert(mask, out=mask), shifted, out=mask)
-        out[lo:hi] = np.log2(mask)  # lowest unset bit of the move mask
+        fold(np.take(CL[m - 1], rr, out=left, mode="clip"))
+        _mex(mask, tmp, out[start:start + n])
 
-    def _cl_chunk(self, m: int, lo: int, hi: int, out: np.ndarray) -> None:
+    def _cl_block(self, m: int, lo: int, hi: int, out: np.ndarray) -> None:
         C, EPS, CL = self.C, self.EPS, self.CL
         # tails starting with 0 (rank < C[m-1]) and with 1 are two slices;
         # a tail's rank indexes its own colon byte at m - 1, and cap is the
@@ -217,6 +324,8 @@ class ScanTables:
     # -- queries ------------------------------------------------------------
 
     def unrank(self, m: int, rank: int) -> Word:
+        if m < 0 or not 0 <= rank < self._count(m):
+            raise ValueError(f"no word of length {m} has rank {rank}")
         flags = []
         n, r = m, int(rank)
         while n > 0:

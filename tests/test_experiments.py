@@ -1,13 +1,16 @@
 import hashlib
 import io
 import json
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from pawnnim.experiments import (ScanTables, write_report as _write,
-                                 first_occurrence, periodic_scan,
+                                 _mask_dtype, _mex, first_occurrence,
+                                 periodic_scan,
                                  power_milestones, two_sig_figs,
                                  value_distribution)
 from pawnnim.grundy import GrundyTable, epsilon
@@ -55,10 +58,82 @@ def test_workers_deterministic():
         assert np.array_equal(seq.CL[m], par.CL[m])
 
 
+def test_blocks_share_a_prefix():
+    # a tier's blocks are consecutive rank runs, in order, within
+    # chunk_size words, and the words of a block share its prefix
+    for chunk_size in (1, 2, 3, 5, 8, 100):
+        st = ScanTables(chunk_size=chunk_size)
+        st.build(9)
+        for m in range(2, 10):
+            ranks = 0
+            for prefix, start, n in st._blocks(m):
+                assert start == ranks and 1 <= n <= chunk_size
+                for rank in (start, start + n - 1):
+                    assert tuple(st.unrank(m, rank)[:len(prefix)]) == prefix
+                ranks += n
+            assert ranks == count_words(m)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_and_two_word_blocks(workers):
+    # chunk sizes 1 and 2 put every file or all but the last in the
+    # prefix, so almost every move is a slice and a byte, and 3 leaves two
+    # files to the gather sweep
+    ref = ScanTables()
+    ref.build(14)
+    for chunk_size in (1, 2, 3):
+        st = ScanTables(chunk_size=chunk_size, workers=workers)
+        st.build(14)
+        for m in range(15):
+            assert np.array_equal(st.EPS[m], ref.EPS[m]), (chunk_size, m)
+            assert np.array_equal(st.CL[m], ref.CL[m]), (chunk_size, m)
+
+
+def test_scratch_sets_are_not_shared_between_threads():
+    # more threads than cores on small blocks, switching as often as the
+    # interpreter allows: a scratch set used by two threads at once breaks
+    # the tables, and a lost one stalls the build
+    ref = ScanTables()
+    ref.build(16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    st = ScanTables(chunk_size=20, workers=4)
+    build = threading.Thread(target=st.build, args=(16,), daemon=True)
+    try:
+        build.start()
+        build.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not build.is_alive() and st.max_length == 16
+    for m in range(17):
+        assert np.array_equal(st.EPS[m], ref.EPS[m]), m
+        assert np.array_equal(st.CL[m], ref.CL[m]), m
+
+
+def test_mask_width_holds_the_mex():
+    # when every class below 2^b is present the mex is 2^b, so the mask
+    # needs bit 2^b as well: at length 43, *16 appears over tiers whose
+    # values are all below 16
+    assert [_mask_dtype(top) for top in (1, 7, 8, 15, 16, 31, 60)] == [
+        np.uint16, np.uint16, np.uint32, np.uint32, np.uint64, np.uint64,
+        np.uint64]
+    for b in range(1, 6):
+        for top in (1 << (b - 1), (1 << b) - 1):
+            dtype = _mask_dtype(top)
+            full = (1 << (1 << b)) - 1  # every class below 2^b
+            mask = np.array([full, full ^ 1, full ^ (1 << b), 0], dtype)
+            out = np.empty(4, dtype=np.int8)
+            _mex(mask, np.empty_like(mask), out)
+            assert out.tolist() == [1 << b, 0, b, 0], (b, top)
+
+
 # sha256 of the bytes of EPS[m] and of CL[m] in the (2, C[m]) int8 layout
-# it had before one table per length held both loony bits, for m = 0..24,
-# as the rank sweep computed them before it was rewritten for cache-sized
-# chunks
+# it had before one table per length held both loony bits, for m = 0..26:
+# 0..24 as the rank sweep computed them before it was rewritten for
+# cache-sized chunks, 25 and 26 as the chunked rank sweep computed them
+# before blocks sharing a prefix replaced it.  At the default chunk size
+# a block's prefix has m - 22 files from length 23 on, so tiers 25 and 26
+# have three and four
 _EPS_SHA256 = [
     "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",  # 0
     "9dcf97a184f32623d11a73124ceb99a5709b083721e878a16d78f596718ba7b2",  # 1
@@ -85,6 +160,8 @@ _EPS_SHA256 = [
     "6f7343bd4f7dcc01ebc35811afbc360a0c7755f7e34afba87770332c1d9c4402",  # 22
     "dbc575cf21e2e364e41fc0e565e7fb2ba8781ec264b80e5d240a361c23014dcc",  # 23
     "db9e84e0c23e492fd997fcd532c1bb6f620c364a936548378c576664e544744a",  # 24
+    "bcfd4e48176288166a8d78108ab4ad174abddc1c55c66a09a0ac0228c9b322ac",  # 25
+    "4a5b913144b0cb205e249d56a4bd91641376d48840a28c8b9cf7be7580d465d3",  # 26
 ]
 _CL_SHA256 = [
     "ca2fd00fa001190744c15c317643ab092e7048ce086a243e2be9437c898de1bb",  # 0
@@ -112,6 +189,8 @@ _CL_SHA256 = [
     "ff52ee34275c4a29606088f8f811867406d0badffeff67ce6450b5372c6a8a90",  # 22
     "7a1825a5cd8076df48758aa5aab1135be424b660c5e738b026041ee8344d15f3",  # 23
     "c6d768c9f7b2b0d5128a45952135dbe226b2446abf9528e010825d6c446908b0",  # 24
+    "62dcb12742d00bc8ec0a70f90202c1132e8a15e1ecbae37517e2a0f2c3fbcf23",  # 25
+    "59ac45117993e4d66c4e4d1b5a286a1d2ef941cb4c325be91fd625bdbc0de396",  # 26
 ]
 
 
@@ -129,8 +208,8 @@ def _old_colon_layout(cl, n):
 @pytest.mark.parametrize("chunk_size, workers", [(1 << 16, 1), (1000, 2)])
 def test_scan_tables_pinned(chunk_size, workers):
     st = ScanTables(chunk_size=chunk_size, workers=workers)
-    st.build(24)
-    for m in range(25):
+    st.build(len(_EPS_SHA256) - 1)
+    for m in range(len(_EPS_SHA256)):
         assert st.EPS[m].dtype == np.int8 and st.CL[m].dtype == np.uint8
         assert st.CL[m].shape == (count_words(m + 1),)
         assert (hashlib.sha256(st.EPS[m].tobytes()).hexdigest()
@@ -160,6 +239,19 @@ def test_workers_must_be_positive():
     for workers in (0, -1):
         with pytest.raises(ValueError):
             ScanTables(workers=workers)
+
+
+def test_chunk_size_must_be_positive():
+    for chunk_size in (0, -5):
+        with pytest.raises(ValueError):
+            ScanTables(chunk_size=chunk_size)
+
+
+def test_unrank_refuses_ranks_outside_the_length(tables):
+    assert str(tables.unrank(3, 4)) == "101"
+    for m, rank in ((3, 100), (3, 5), (3, -1), (0, 1), (-1, 0)):
+        with pytest.raises(ValueError):
+            tables.unrank(m, rank)
 
 
 def test_first_occurrence_small(tables):
