@@ -7,7 +7,8 @@ tables (recompute built-in regression tables and diff), embed (chessboard
 diagrams).
 
 Exit status: 0 on success, 1 when a computation disagrees with a built-in
-table or an invariant fails, 2 for usage or validation errors.
+table or an invariant fails or standard output is closed early, 2 for
+usage or validation errors.
 """
 
 from __future__ import annotations
@@ -56,22 +57,9 @@ def _output(path: str):
 
 
 def _workers(args) -> int:
-    """Worker count from ``--workers``, else from PAWNNIM_WORKERS, else 1;
-    read only by the commands that scan, so a bad variable cannot break
-    the others."""
-    if args.workers is not None:
-        if args.workers < 1:
-            raise UsageError("--workers must be at least 1")
-        return args.workers
-    text = os.environ.get("PAWNNIM_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise UsageError(f"PAWNNIM_WORKERS must be a positive integer, "
-                         f"got {text!r}")
-    return workers
+    if args.workers < 1:
+        raise UsageError("--workers must be at least 1")
+    return args.workers
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -254,9 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--format", choices=formats, default=formats[0])
 
     def add_workers(sp):
-        sp.add_argument("--workers", type=int, default=None,
-                        help="scan worker threads (default from "
-                             "PAWNNIM_WORKERS, else 1)")
+        sp.add_argument("--workers", type=int, default=1,
+                        help="scan worker threads")
 
     p = sub.add_parser("scan", help="exhaustive sweep over all words")
     p.add_argument("--length", type=int, required=True, metavar="M")
@@ -316,7 +303,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed standard output early; point it at devnull so
+        # the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return MISMATCH
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

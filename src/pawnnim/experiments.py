@@ -349,22 +349,31 @@ class ScanTables:
         return r
 
 
+def _chunks(eps: np.ndarray, size: int):
+    """(first rank, values) of each ``size``-word slice of a tier.  The
+    readers below walk a tier this way so that the temporaries they make
+    are of chunk size, not a byte or more per word of the tier."""
+    for lo in range(0, eps.size, size):
+        yield lo, eps[lo:lo + size]
+
+
 def first_occurrence(max_k: int, max_m: int,
                      tables: ScanTables) -> FirstOccurrenceTable:
     """Scan lengths 1..max_m for the least length attaining each value
     1..max_k, with a witness word; stops early once all are found."""
     result = FirstOccurrenceTable()
+    missing = list(range(1, max_k + 1))
     for m in range(1, max_m + 1):
-        missing = [k for k in range(1, max_k + 1) if k not in result.lengths]
         if not missing:
             break
         tables.build(m)
-        eps = tables.EPS[m]
-        for k in missing:
-            hits = np.flatnonzero(eps == k)
-            if hits.size:
-                result.lengths[k] = m
-                result.witnesses[k] = tables.unrank(m, int(hits[0]))
+        for lo, eps in _chunks(tables.EPS[m], tables.chunk_size):
+            for k in missing:
+                hits = np.flatnonzero(eps == k)
+                if hits.size:
+                    result.lengths[k] = m
+                    result.witnesses[k] = tables.unrank(m, lo + int(hits[0]))
+            missing = [k for k in missing if k not in result.lengths]
         result.max_length_scanned = m
     return result
 
@@ -372,13 +381,10 @@ def first_occurrence(max_k: int, max_m: int,
 def value_distribution(m: int, tables: ScanTables) -> DistributionRow:
     """Exact counts of each value over all valid words of length m."""
     tables.build(m)
-    eps = tables.EPS[m]
-    # bincount widens its input to intp; counting chunk by chunk keeps
-    # that copy at chunk size instead of 8 bytes per word of the tier
-    counts = np.zeros(int(eps.max()) + 1, dtype=np.int64)
-    for lo in range(0, eps.size, tables.chunk_size):
-        counts += np.bincount(eps[lo:lo + tables.chunk_size],
-                              minlength=counts.size)
+    # bincount widens its input to intp, 8 bytes per word
+    counts = np.zeros(int(tables.EPS[m].max()) + 1, dtype=np.int64)
+    for _, eps in _chunks(tables.EPS[m], tables.chunk_size):
+        counts += np.bincount(eps, minlength=counts.size)
     return DistributionRow(
         length=m,
         counts={v: int(c) for v, c in enumerate(counts) if c},

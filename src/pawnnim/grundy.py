@@ -41,9 +41,10 @@ class GrundyTable:
     period P when P < n, else the word padded with an open file to period
     n + 1.  ``ensure`` fills the pattern's ``PeriodicTable`` to the word's
     length and records, under the word's key, the value ``E[0, n]`` in
-    ``eps`` and, for a nonempty word, the class ``CF[1 % P, n - 1]`` of a
-    move to the colon component with colon file ``word[0]`` and tail
-    ``word[1:]`` in ``colon``.  Tables of words that span at least two
+    ``eps``, the move row in ``_done`` and, for a nonempty word, the class
+    of a move to the colon component with colon file ``word[0]`` and tail
+    ``word[1:]`` in ``colon``: the end move at file 0, ``row[0]``, or -1
+    for an empty tail.  Tables of words that span at least two
     periods (n >= 2P) are kept per pattern and extend in place, so words
     of one pattern (runs of open files, repeats of ``1000``) share one
     table.  Any other table, padded or not, is dropped once ``ensure`` has
@@ -57,12 +58,12 @@ class GrundyTable:
     def __init__(self):
         self.eps = {}  # word key -> value
         self.colon = {}  # word key -> colon class, -1 for loony
-        self._done = {}  # word key -> move row, or the shared phase table
+        self._done = {}  # word key -> move row
         self._tables = {}  # PeriodicPattern -> shared PeriodicTable
 
     def ensure(self, word: Word) -> None:
         """Fill the phase table of ``word`` to its length and record the
-        word's value and colon class."""
+        word's value, move row and colon class."""
         key = word.key
         if key in self._done:
             return
@@ -83,20 +84,16 @@ class GrundyTable:
         table.extend(n)
         # a shared table may have grown past n, so read lengths <= n only
         self.eps[key] = int(table.E[0, n])
+        self._done[key] = row = table.move_classes(0, n)[0]
         if n:
-            self.colon[key] = int(table.CF[1 % period, n - 1])
+            self.colon[key] = int(row[0]) if n > 1 else -1
         if 2 * period <= n:
-            self._tables[pattern] = self._done[key] = table
-        else:
-            self._done[key] = table.move_classes([0], n)[0]
+            self._tables[pattern] = table
 
     def move_classes(self, word: Word) -> list:
         """Class of the move at each file of ``word``; -1 means loony."""
         self.ensure(word)
-        row = self._done[word.key]
-        if isinstance(row, PeriodicTable):  # read a shared table's row once
-            row = self._done[word.key] = row.move_classes([0], word.length)[0]
-        return row.tolist()
+        return self._done[word.key].tolist()
 
     def colon_class(self, word: Word) -> int:
         """Class of a move to the colon component whose colon file is
@@ -189,7 +186,7 @@ class PeriodicTable:
     def __init__(self, pattern: PeriodicPattern, max_length: int = 0):
         self.pattern = pattern
         self.p = p = pattern.period
-        self.flags = np.array([pattern.phase_flag(q) for q in range(p)],
+        self.flags = np.array([pattern.flag(q) for q in range(p)],
                               dtype=bool)
         # indices the fill reads at every length, made once per table:
         # phases and flags over two periods, so the (q + L) % p of all
@@ -239,12 +236,12 @@ class PeriodicTable:
             self._fill(length)
         self.n = n
 
-    def move_classes(self, phases, L: int) -> np.ndarray:
-        """Class of the move at each file of the length-L words starting at
-        the given consecutive phases (such as ``[q]`` or ``range(p)``): a
-        (len(phases), L) array, -1 for loony.  Reads only lengths below L.
-        Raises ValueError unless the phases are consecutive in 0..p-1 and
-        0 <= L <= n + 1 for a table of length n.
+    def move_classes(self, phase: Optional[int], L: int) -> np.ndarray:
+        """Class of the move at each file of the length-L word starting at
+        ``phase``, or of the words at every phase for ``None``: a (1, L) or
+        (p, L) array, -1 for loony.  Reads only lengths below L.  Raises
+        ValueError unless the phase is in 0..p-1 and 0 <= L <= n + 1 for a
+        table of length n.
 
         An end move is classified by the colon class of the rest of the
         word.  An interior move at file k is non-loony when each side
@@ -255,11 +252,12 @@ class PeriodicTable:
         so they are forward slices of the end-phase row (q + L) % p.
         """
         p = self.p
-        q = np.asarray(phases)
-        m = q.size
-        a = int(q[0]) if m else 0
-        if a < 0 or a + m > p or not np.array_equal(q, self._phases[a:a + m]):
-            raise ValueError(f"phases must be consecutive phases of 0..{p - 1}")
+        if phase is None:
+            a, m = 0, p
+        elif 0 <= phase < p:
+            a, m = phase, 1
+        else:
+            raise ValueError(f"phase {phase} is outside 0..{p - 1}")
         # the arrays hold lengths 0..width - 1, ahead of n during a fill
         width = self.E.shape[1]
         if not 0 <= L <= width:
@@ -281,8 +279,8 @@ class PeriodicTable:
         right = self.right_loony[:, width - L + 1:width - 1]
         inner = out[:, 1:L - 1]
         loony = np.empty(inner.shape, dtype=bool)
-        # the end rows (q + L) % p of consecutive phases wrap past p - 1 at
-        # most once, so they are two row slices
+        # the end rows (q + L) % p of all phases wrap past p - 1 at most
+        # once, so they are two row slices
         end = (a + L) % p
         split = min(m, p - end)
         for lo, hi, e in ((0, split, end), (split, m, 0)):
@@ -304,7 +302,7 @@ class PeriodicTable:
         # mex of each row: L moves leave one of the values 0..L unused, and
         # no class exceeds L (e1 ^ e2 <= e1 + e2 <= L - 3).  Loony moves
         # (-1) land in the spare last column of the row before.
-        cls = self.move_classes(self._phases, L)
+        cls = self.move_classes(None, L)
         seen = np.zeros((p, L + 2), dtype=bool)
         cls += (L + 2) * self._phases[:, None]  # offset of each row in seen
         seen.ravel()[cls.ravel().astype(np.intp)] = True
@@ -321,12 +319,9 @@ class PeriodicTable:
         last = (L - 1) % p  # phase of the last file, q + L - 1
         self.left_loony[:, L] = self._open2[last:last + p] & (cr < 0)
 
-    def values(self, phase: Optional[int] = None) -> np.ndarray:
-        """Component values for lengths 0..n at the given start phase
-        (default: the pattern's file origin)."""
-        if phase is None:
-            phase = self.pattern.file_origin % self.p
-        return self.E[phase % self.p].copy()
+    def values(self) -> np.ndarray:
+        """Component values for lengths 0..n at the pattern's file origin."""
+        return self.E[self.pattern.file_origin % self.p].copy()
 
     def save(self, path) -> None:
         np.savez_compressed(

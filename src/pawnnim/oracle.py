@@ -86,16 +86,6 @@ class BoardPosition:
         return BLACK if black else None
 
 
-@dataclass(frozen=True)
-class SumPosition:
-    board: BoardPosition
-    heap: int = 0
-
-    @property
-    def terminal_winner(self) -> Optional[int]:
-        return self.board.touchdown_winner()
-
-
 def initial_position(components: Iterable["Word | str"],
                      side_to_move: int = WHITE) -> BoardPosition:
     """Components side by side, one empty file between consecutive ones;
@@ -309,23 +299,19 @@ class Solver:
         return result
 
 
-def outcome(pos: "SumPosition | BoardPosition", heap: int = 0,
-            max_states: int = 4_000_000) -> bool:
+def outcome(pos: BoardPosition, heap: int = 0) -> bool:
     """Exact result of a position plus heap: True iff the side to move
     wins.  Each call owns an isolated search."""
-    if isinstance(pos, SumPosition):
-        pos, heap = pos.board, pos.heap
-    return Solver(max_states).wins(pos, heap)
+    return Solver().wins(pos, heap)
 
 
-def oracle_epsilon(word: "Word | str", max_heap: int = 3,
-                   max_states: int = 4_000_000) -> int:
+def oracle_epsilon(word: "Word | str", max_heap: int = 3) -> int:
     """The unique heap size j <= max_heap whose sum with [word] is a loss
     for the side to move; by Nim equivalence this is the component value."""
     w = word if isinstance(word, Word) else Word(word)
     pos = initial_position([w])
     losses = [j for j in range(max_heap + 1)
-              if not Solver(max_states).wins(pos, j)]
+              if not Solver().wins(pos, j)]
     if len(losses) != 1:
         raise NonUniqueHeapError(
             f"[{w}] loses against heaps {losses}; expected exactly one "
@@ -333,8 +319,7 @@ def oracle_epsilon(word: "Word | str", max_heap: int = 3,
     return losses[0]
 
 
-def oracle_is_loony(word: "Word | str", k: int, max_heap: int = 3,
-                    max_states: int = 4_000_000) -> bool:
+def oracle_is_loony(word: "Word | str", k: int, max_heap: int = 3) -> bool:
     """Necessary-condition loony test: the move at file k loses no matter
     which heap j <= max_heap accompanies the component.  Checks finitely
     many contexts only."""
@@ -345,7 +330,7 @@ def oracle_is_loony(word: "Word | str", k: int, max_heap: int = 3,
     mv = next(m for m in legal_moves(pos)
               if m.from_file == k and not m.capture)
     after = apply_move(pos, mv)
-    return all(Solver(max_states).wins(after, j) for j in range(max_heap + 1))
+    return all(Solver().wins(after, j) for j in range(max_heap + 1))
 
 
 def solve_word(word: "Word | str",
@@ -370,14 +355,13 @@ def solve_word(word: "Word | str",
     return losses[0], loony
 
 
-def principal_variation(pos: BoardPosition, heap: int = 0,
-                        max_states: int = 4_000_000,
-                        limit: int = 200) -> "list[str]":
-    """Diagnostic line of play: winning moves where they exist, otherwise
-    the first legal move.  Heap reductions print as "heap->j"."""
-    solver = Solver(max_states)
+def principal_variation(pos: BoardPosition, heap: int = 0) -> "list[str]":
+    """Diagnostic line of play, at most 200 plies: winning moves where they
+    exist, otherwise the first legal move.  Heap reductions print as
+    "heap->j"."""
+    solver = Solver()
     line = []
-    while len(line) < limit:
+    while len(line) < 200:
         if pos.touchdown_winner() is not None:
             break
         moves = _moves_of(pos)

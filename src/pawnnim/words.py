@@ -111,11 +111,6 @@ def reverse_bits(bits: int, n: int) -> int:
     return int(format(bits, f"0{n}b")[::-1], 2)
 
 
-def reverse(word: Word) -> Word:
-    """Mirror image of a word; an involution that preserves validity."""
-    return word.reversed()
-
-
 def validate(word: Word):
     """Return None if no two stopped flags are adjacent, else the index of
     the first offending pair (the position of its left flag)."""
@@ -135,21 +130,12 @@ def count_words(m: int) -> int:
     return a
 
 
-def enumerate_words(m: int, prefix: "str | Word" = "") -> Iterator[Word]:
-    """All valid words of length m in lexicographic order (0 before 1).
-
-    A non-empty ``prefix`` restricts the stream to words that extend it,
-    which gives a deterministic partition of the full stream for parallel
-    scans.
-    """
-    pre = prefix if isinstance(prefix, Word) else Word(prefix)
-    if not pre.is_valid or pre.length > m:
-        return
-    plen = pre.length
-    flags = list(pre) + [0] * (m - plen)
+def enumerate_words(m: int) -> Iterator[Word]:
+    """All valid words of length m in lexicographic order (0 before 1)."""
+    flags = [0] * m
     while True:
         yield Word(flags)
-        for i in range(m - 1, plen - 1, -1):
+        for i in range(m - 1, -1, -1):
             if flags[i] == 0 and (i == 0 or flags[i - 1] == 0):
                 flags[i] = 1
                 for j in range(i + 1, m):
@@ -183,11 +169,9 @@ class PeriodicPattern:
                     f"adjacent files")
 
     def flag(self, file: int) -> int:
-        """Flag of 1-based file number ``file``."""
+        """Flag of 1-based file number ``file``, or of phase ``file``: both
+        are read modulo the period."""
         return 1 if (file % self.period) in self.stopped else 0
-
-    def phase_flag(self, phase: int) -> int:
-        return 1 if (phase % self.period) in self.stopped else 0
 
     def describe(self) -> str:
         res = ",".join(str(r) for r in sorted(self.stopped)) or "-"
@@ -206,24 +190,3 @@ def word_from_pattern(pattern: PeriodicPattern, length: int) -> Word:
         raise ValueError("pattern expands to adjacent stopped files")
     return w
 
-
-def read_batch(source) -> "list[Word]":
-    """Parse a batch of word literals: one word per line, '#' starts a
-    comment line, blank lines are skipped.  ``source`` is a path or an
-    iterable of lines."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(source)
-    out = []
-    for lineno, line in enumerate(lines, 1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        w = Word(text)
-        if not w.is_valid:
-            raise ValueError(
-                f"line {lineno}: adjacent stopped files in {text!r}")
-        out.append(w)
-    return out

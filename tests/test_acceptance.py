@@ -17,7 +17,7 @@ from pawnnim.reference import (DISTRIBUTION_PERCENT_2SF,
                                FIRST_OCCURRENCE_LENGTHS, P6_MILESTONES,
                                P6_SLOW_MAX_ALPHA, P14_PERIOD)
 from pawnnim.words import (PeriodicPattern, Word, count_words,
-                           enumerate_words, reverse)
+                           enumerate_words)
 
 
 def report(criterion, ok, detail):
@@ -207,12 +207,12 @@ def test_a11_property_suite(table):
     # reversal invariance, exhaustive through length 14
     for m in range(1, 15):
         for w in enumerate_words(m):
-            assert epsilon(w, table) == epsilon(reverse(w), table), str(w)
+            assert epsilon(w, table) == epsilon(w.reversed(), table), str(w)
             assert epsilon(w, table) <= m
     # mirror symmetry of move classification, exhaustive through 12
     for m in range(1, 13):
         for w in enumerate_words(m):
-            rw = reverse(w)
+            rw = w.reversed()
             for k in range(m):
                 assert engine.classify_move(w, k, table) == \
                     engine.classify_move(rw, m - 1 - k, table), (str(w), k)
@@ -226,8 +226,8 @@ def test_a11_property_suite(table):
         w = Word(flags)
         k = rng.randrange(m)
         assert engine.classify_move(w, k, table) == \
-            engine.classify_move(reverse(w), m - 1 - k, table)
-        assert epsilon(w, table) == epsilon(reverse(w), table) <= m
+            engine.classify_move(w.reversed(), m - 1 - k, table)
+        assert epsilon(w, table) == epsilon(w.reversed(), table) <= m
     # enumeration counts are Fibonacci numbers
     for m in range(26):
         assert sum(1 for _ in enumerate_words(m)) == count_words(m)

@@ -2,7 +2,7 @@ import pytest
 
 from pawnnim.engine import MoveClass, classify_colon, classify_move
 from pawnnim.grundy import GrundyTable
-from pawnnim.words import Word, reverse
+from pawnnim.words import Word
 
 LOONY = MoveClass.loony()
 
@@ -66,7 +66,7 @@ def test_mirror_symmetry_exhaustive(table):
     from pawnnim.words import enumerate_words
     for m in range(1, 9):
         for w in enumerate_words(m):
-            rw = reverse(w)
+            rw = w.reversed()
             for k in range(m):
                 assert classify_move(w, k, table) == classify_move(
                     rw, m - 1 - k, table), (str(w), k)

@@ -272,6 +272,16 @@ def test_first_occurrence_reports_missing(tables):
     assert found.max_length_scanned == 9
 
 
+def test_first_occurrence_does_not_depend_on_chunk_size():
+    # a tier is searched chunk by chunk, and the witnesses of *6..*9 sit
+    # past the first chunk of 2^6 and of 2^10 words
+    default = first_occurrence(12, 22, ScanTables())
+    assert default.lengths[9] == 22
+    for chunk_size in (1 << 6, 1 << 10):
+        found = first_occurrence(12, 22, ScanTables(chunk_size=chunk_size))
+        assert found == default, chunk_size
+
+
 def test_value_distribution_matches_brute_force(tables):
     table = GrundyTable()
     for m in (1, 5, 9):

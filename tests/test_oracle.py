@@ -4,7 +4,7 @@ from pawnnim import oracle
 from pawnnim.engine import classify_move
 from pawnnim.grundy import GrundyTable, epsilon
 from pawnnim.oracle import (BLACK, WHITE, BoardPosition, NonUniqueHeapError,
-                            ResourceLimitError, Solver, SumPosition,
+                            ResourceLimitError, Solver,
                             apply_move, initial_position, legal_moves,
                             oracle_epsilon, oracle_is_loony, outcome,
                             principal_variation, solve_word)
@@ -51,7 +51,6 @@ def test_outcome_examples():
     assert outcome(initial_position(["000"]), 0) is False
     assert outcome(initial_position(["000"]), 1) is True
     assert outcome(initial_position(["1000"]), 2) is False
-    assert outcome(SumPosition(initial_position(["000"]), 1)) is True
 
 
 def test_oracle_epsilon_examples():
@@ -215,7 +214,6 @@ def test_touchdown_positions():
                         BLACK)
     assert won.touchdown_winner() == WHITE
     assert outcome(won, 0) is False  # Black to move has already lost
-    assert SumPosition(won).terminal_winner == WHITE
     # the same pawn on a stopped file wins nothing
     stopped = BoardPosition(pos.width, frozenset({0}), 1 << 2,
                             pos.black & ~(1 << 2), BLACK)

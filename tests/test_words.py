@@ -1,8 +1,7 @@
 import pytest
 
 from pawnnim.words import (PeriodicPattern, Word, count_words,
-                           enumerate_words, read_batch, reverse, validate,
-                           word_from_pattern)
+                           enumerate_words, validate, word_from_pattern)
 
 
 def test_word_basics():
@@ -33,13 +32,13 @@ def test_validate():
 
 
 def test_reverse():
-    assert reverse(Word("1000")) == Word("0001")
-    assert reverse(Word("")) == Word("")
-    assert reverse(Word("101")) == Word("101")
+    assert Word("1000").reversed() == Word("0001")
+    assert Word("").reversed() == Word("")
+    assert Word("101").reversed() == Word("101")
     for text in ("100101", "0001", "1"):
         w = Word(text)
-        assert reverse(reverse(w)) == w
-        assert reverse(w).is_valid
+        assert w.reversed().reversed() == w
+        assert w.reversed().is_valid
 
 
 def test_enumerate_small():
@@ -56,16 +55,6 @@ def test_enumerate_counts_match_fibonacci():
         assert len(set(seen)) == len(seen)
         assert all(w.is_valid for w in seen)
     assert count_words(12) == 377
-
-
-def test_enumerate_prefix_partition():
-    whole = [str(w) for w in enumerate_words(6)]
-    parts = []
-    for prefix in ("00", "01", "10"):
-        parts.extend(str(w) for w in enumerate_words(6, prefix))
-    assert sorted(parts) == sorted(whole)
-    # prefix ending in a stopped file forces the next file open
-    assert all(w[2] == "0" for w in parts if w.startswith("01"))
 
 
 def test_pattern_validation():
@@ -97,11 +86,3 @@ def test_word_from_pattern_origin_shift():
     p6 = PeriodicPattern(6, frozenset({4}), file_origin=4)
     assert str(word_from_pattern(p6, 7)) == "1000001"
 
-
-def test_read_batch(tmp_path):
-    path = tmp_path / "words.txt"
-    path.write_text("# a comment\n1000\n\n00101\n")
-    assert read_batch(path) == [Word("1000"), Word("00101")]
-    assert read_batch(["0", "# x", "10"]) == [Word("0"), Word("10")]
-    with pytest.raises(ValueError):
-        read_batch(["011"])
