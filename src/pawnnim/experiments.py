@@ -9,8 +9,9 @@ Fibonacci base, so a full sweep of length m costs O(m) array operations
 per word with every subword value shared across words.  The words of one
 length that share their first files are a run of consecutive ranks, and a
 length is filled in such blocks: a move on a shared file reads one side
-as a slice and the other as a single byte, and only the remaining files
-step the rank recurrences and gather.
+as a slice and the other as a single byte.  The remaining files are the
+same suffixes in every block, so their rank steps and right sides are
+computed once per length, and a move there gathers one byte.
 """
 
 from __future__ import annotations
@@ -87,22 +88,14 @@ def _mex(mask: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
     np.log2(mask, out=out, casting="unsafe")
 
 
-def _scratch(size: int, width) -> tuple:
-    """One worker's arrays for blocks of up to ``size`` words: the ranks
-    0..size-1, three int64 arrays, a mask of dtype ``width`` and two uint8
-    arrays.  They are views of one anonymous memory map, which goes back
-    to the system when the last view is dropped and leaves the allocator's
-    thresholds alone."""
-    dtypes = [np.dtype(t) for t in (np.int64,) * 4 + (width, np.uint8,
-                                                     np.uint8)]
-    buf = np.frombuffer(mmap.mmap(-1, size * sum(t.itemsize for t in dtypes)),
-                        dtype=np.uint8)
-    arrays, at = [], 0
-    for t in dtypes:
-        arrays.append(buf[at:at + size * t.itemsize].view(t))
-        at += size * t.itemsize
-    arrays[0][:] = np.arange(size)
-    return tuple(arrays)
+def _mapped(size: int, dtypes) -> list:
+    """Arrays of ``size`` entries, one of each dtype, as views of one
+    anonymous memory map, which goes back to the system when the last view
+    is dropped and leaves the allocator's thresholds alone."""
+    dtypes = [np.dtype(t) for t in dtypes]
+    at = np.cumsum([0] + [size * t.itemsize for t in dtypes]).tolist()
+    buf = mmap.mmap(-1, max(at[-1], 1))  # an empty map is an error
+    return [np.frombuffer(buf, t, size, o) for t, o in zip(dtypes, at)]
 
 
 class ScanTables:
@@ -126,9 +119,10 @@ class ScanTables:
     leaves a piece on each side, and a side is loony when bit 6 is set.
     The right side r is CL[m - k - 1] at the rank of w[k:]; the left side l
     is CL[k] at the rank of reversed w[:k+1], whose piece is the reverse of
-    w[:k-1] and has its value.  The class is ``((l ^ r) & 127) | (l & 64)``:
-    bit 7 drops out, and the class is 64 or more when either side is loony.
-    The tables take 1 + C[m + 1] / C[m], about 2.6 bytes per word.
+    w[:k-1] and has its value.  The class is ``(l & 127) ^ r2``, for r2 the
+    byte r with bit 7 cleared unless bit 6 is set; it is 64 or more when a
+    side is loony.  The tables take 1 + C[m + 1] / C[m], about 2.6 bytes
+    per word.
 
     A tier is filled in blocks: the words that share their first j files,
     for the least j that keeps every block within ``chunk_size`` words.
@@ -136,20 +130,20 @@ class ScanTables:
     p has w[k:] at rank ``off_k + i`` for k <= j, where off_k counts the
     stopped files of p[k:].  So the move at a prefix file k reads its right
     side as a slice of CL[m - k - 1] and its left side as one byte of CL[k]
-    at the rank of reversed p[:k+1].  The sweep over the remaining files
-    gathers both sides, starting from suffix ranks 0..n-1.  The move masks
-    are uint16, uint32 or uint64, the narrowest that holds every class of
-    the tier (``_mask_dtype``).  A worker's scratch is sized to the tier's
-    largest block and reused for each block it fills: four int64 arrays
-    (the initial suffix ranks, the two ranks, and one for the rank step and
-    the class bits), the mask and two uint8 side arrays, 36 to 42 bytes
-    per rank.  At the default 2^16 blocks hold at most 46,368 words, so
-    that is at most 2.0 MB per worker, at any length.  Blocks are
-    independent, so worker threads and sequential runs produce identical
-    tables.
+    at the rank of reversed p[:k+1].  The rest of word i is the suffix of
+    rank i in every block, so a tier computes once, for each suffix file k,
+    the byte r2 and the step from the rank rho of reversed p to that of
+    reversed w[:k+1], and a block's move at k gathers only CL[k][rho +
+    step].  That takes a byte and a step, int32 through length 44, per
+    suffix file and rank: 3.0 MB at the default 2^15, where blocks hold at
+    most 28,657 words of 21 suffix files.  A worker's scratch holds the
+    move mask, its temporary and a uint8 array, 5 to 17 bytes per rank;
+    the mask is uint16, uint32 or uint64, the narrowest that holds every
+    class of the tier (``_mask_dtype``).  Blocks are independent, so
+    worker threads and sequential runs produce identical tables.
     """
 
-    def __init__(self, chunk_size: int = 1 << 16, workers: int = 1):
+    def __init__(self, chunk_size: int = 1 << 15, workers: int = 1):
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be at least 1, got "
                              f"{chunk_size}")
@@ -160,6 +154,7 @@ class ScanTables:
         self.C = [1, 2]  # valid word counts by length
         self.EPS = [np.zeros(1, dtype=np.int8)]
         self.CL = [np.full(2, 128, dtype=np.uint8)]  # 0 and 1 have no u[1]
+        self.top = [0]  # largest value of each tier
 
     def _count(self, n: int) -> int:
         while len(self.C) <= n:
@@ -193,6 +188,7 @@ class ScanTables:
                 m, block[1], block[1] + block[2], cl))
         self.EPS.append(eps)
         self.CL.append(cl)
+        self.top.append(int(eps.max()))
 
     def _blocks(self, m: int) -> list:
         """(prefix, first rank, word count) of each block of tier m, in
@@ -216,19 +212,45 @@ class ScanTables:
         return blocks
 
     def _eps_blocks(self, m: int, blocks: list, out: np.ndarray) -> None:
-        """Fill ``out`` with the values of tier m, block by block.  The
-        scratch is freed on return, before the colon table is written."""
+        """Fill ``out`` with the values of tier m, block by block.  Row
+        k - j of ``right`` and ``steps`` holds suffix file k's r2 and step
+        by suffix rank; all arrays are freed before the colon table is
+        written."""
+        C, CL = self.C, self.CL
         size = max(n for _, _, n in blocks)
+        j = len(blocks[0][0])
+        # the narrowest signed dtype holding C[m]
+        steps, right = (a.reshape(m - j, size) for a in _mapped(
+            (m - j) * size, (np.min_scalar_type(-C[m] - 1), np.uint8)))
+        s, d = _mapped(size, (np.intp, np.intp))
+        s[:] = np.arange(size)  # rank of the suffix w[k:]
+        u = d.view(np.uint8)[:size]
+        for i, k in enumerate(range(j, m)):
+            if 0 < k < m - 1:
+                r = np.take(CL[m - k - 1], s, out=right[i], mode="clip")
+                # r2 = r & ((r << 1) | 127): bit 6 keeps bit 7
+                np.left_shift(r, 1, out=u)
+                np.bitwise_and(r, np.bitwise_or(u, 127, out=u), out=r)
+            # w[k] is stopped exactly when w[k:] has rank >= C[m-1-k]
+            np.greater_equal(s, C[m - 1 - k], out=d)
+            np.multiply(d, C[k], out=steps[i])
+            if i:
+                np.add(steps[i], steps[i - 1], out=steps[i])
+            np.subtract(s, np.multiply(d, C[m - 1 - k], out=d), out=s)
+        del s, d, u  # unmapped before the scratch is
         # the pieces of a move have at most m - 2 files
-        width = _mask_dtype(max(int(e.max()) for e in self.EPS[:m - 1]))
+        width = _mask_dtype(max(self.top[:m - 1]))
         free = SimpleQueue()  # one scratch set per worker thread
         for _ in range(min(self.workers, len(blocks))):
-            free.put(_scratch(size, width))
+            free.put(_mapped(size, (width, width, np.uint8)))
 
         def fill(block):
             scratch = free.get()
-            self._eps_block(m, *block, width, scratch, out)
-            free.put(scratch)
+            try:
+                self._eps_block(m, *block, width, right, steps, scratch,
+                                out)
+            finally:
+                free.put(scratch)
 
         self._run_blocks(blocks, fill)
 
@@ -240,17 +262,14 @@ class ScanTables:
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             list(pool.map(fn, blocks))
 
-    def _eps_block(self, m: int, prefix: tuple, start: int, n: int,
-                   width, scratch: tuple, out: np.ndarray) -> None:
+    def _eps_block(self, m: int, prefix: tuple, start: int, n: int, width,
+                   right, steps, scratch: list, out: np.ndarray) -> None:
         C, CL = self.C, self.CL
-        iota, s, rr, d, mask, left, right = (a[:n] for a in scratch)
-        # bit v of a mask: some move is worth v.  The rank step's scratch d
-        # also holds the class bits that a fold ORs into the mask
-        tmp = scratch[3].view(width)[:n]
+        # bit v of a mask: some move is worth v
+        mask, tmp, left = (a[:n] for a in scratch)
         one = width(1)
 
         def fold(cls):
-            # a loony class is 64 or more, a shift numpy defines as 0
             np.left_shift(one, cls, out=tmp)
             np.bitwise_or(mask, tmp, out=mask)
 
@@ -265,39 +284,21 @@ class ScanTables:
                 lbyte = int(CL[k][rho])
                 if not lbyte & 64:  # else every class of the move is loony
                     np.bitwise_xor(CL[m - k - 1][off:off + n], lbyte & 63,
-                                   out=right)
-                    fold(np.bitwise_and(right, 127, out=right))
+                                   out=left)
+                    fold(np.bitwise_and(left, 127, out=left))
             off -= flag * C[m - 1 - k]
-        np.copyto(s, iota)  # rank of the suffix w[k:]
-        rr.fill(rho)  # rank of reversed w[:k]
-        su, du = s.view(np.uint64), d.view(np.uint64)
-        for k in range(len(prefix), m):
-            interior = 0 < k < m - 1
-            if interior:
-                # the move at file k reads its right side from w[k:] and its
-                # left side from reversed w[:k+1].  Ranks are in range by
-                # construction; clip mode spares the buffered copy that
-                # mode="raise" makes of ``out``
-                np.take(CL[m - k - 1], s, out=right, mode="clip")
-            # w[k] is stopped exactly when w[k:] has rank >= C[m-1-k]; move
-            # it from the suffix onto the front of the reversed prefix.  s - c
-            # wraps when w[k] is open, so the unsigned minimum keeps s, and
-            # its sign bit masks C[k] out of the step of rr
-            np.subtract(su, C[m - 1 - k], out=du)
-            np.minimum(su, du, out=su)
-            np.right_shift(d, 63, out=d)
-            np.bitwise_and(np.invert(d, out=d), C[k], out=d)
-            np.add(rr, d, out=rr)
-            if interior:
-                np.take(CL[k], rr, out=left, mode="clip")
-                np.bitwise_xor(left, right, out=right)
-                # bit 7 marks a loony colon class, which need not make its
-                # side loony
-                np.bitwise_and(right, 127, out=right)
-                np.bitwise_and(left, 64, out=left)  # two loony sides cancel
-                fold(np.bitwise_or(left, right, out=left))
-        # mirror end move: file m-1, tail reversed w[:m-1]
-        fold(np.take(CL[m - 1], rr, out=left, mode="clip"))
+        # suffix files: word i has the suffix of rank i
+        j = len(prefix)
+        for k in range(max(j, 1), m - 1):
+            # ranks are in range by construction; clip mode spares the
+            # buffered copy that mode="raise" makes of ``out``
+            np.take(CL[k][rho:], steps[k - j][:n], out=left, mode="clip")
+            np.bitwise_and(left, 127, out=left)
+            fold(np.bitwise_xor(left, right[k - j][:n], out=left))
+        # mirror end move: file m-1, tail reversed w[:m-1] (w is p if j == m)
+        rev = CL[m - 1][rho:]
+        fold(rev[:n] if j == m else
+             np.take(rev, steps[-1][:n], out=left, mode="clip"))
         _mex(mask, tmp, out[start:start + n])
 
     def _cl_block(self, m: int, lo: int, hi: int, out: np.ndarray) -> None:
@@ -382,7 +383,7 @@ def value_distribution(m: int, tables: ScanTables) -> DistributionRow:
     """Exact counts of each value over all valid words of length m."""
     tables.build(m)
     # bincount widens its input to intp, 8 bytes per word
-    counts = np.zeros(int(tables.EPS[m].max()) + 1, dtype=np.int64)
+    counts = np.zeros(tables.top[m] + 1, dtype=np.int64)
     for _, eps in _chunks(tables.EPS[m], tables.chunk_size):
         counts += np.bincount(eps, minlength=counts.size)
     return DistributionRow(

@@ -110,6 +110,40 @@ def test_scratch_sets_are_not_shared_between_threads():
         assert np.array_equal(st.CL[m], ref.CL[m]), m
 
 
+def test_a_failing_block_reaches_the_caller():
+    # every block of a multi-block tier fails: a worker that kept its
+    # scratch set would leave the other blocks waiting for one forever
+    st = ScanTables(chunk_size=20, workers=2)
+    kernel = st._eps_block
+
+    def failing(m, *args):
+        if m == 10:
+            raise MemoryError("no room for the block")
+        kernel(m, *args)
+
+    st._eps_block = failing
+    errors = []
+
+    def build():
+        try:
+            st.build(12)
+        except MemoryError as e:
+            errors.append(e)
+
+    thread = threading.Thread(target=build, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(errors) == 1
+    assert len(st._blocks(10)) > 2 and st.max_length == 9
+
+
+def test_tier_maxima_are_recorded():
+    # the mask width of a tier comes from these, not from the tables
+    st = ScanTables()
+    st.build(26)
+    assert st.top == [int(e.max()) for e in st.EPS]
+
+
 def test_mask_width_holds_the_mex():
     # when every class below 2^b is present the mex is 2^b, so the mask
     # needs bit 2^b as well: at length 43, *16 appears over tiers whose
@@ -131,7 +165,7 @@ def test_mask_width_holds_the_mex():
 # it had before one table per length held both loony bits, for m = 0..26:
 # 0..24 as the rank sweep computed them before it was rewritten for
 # cache-sized chunks, 25 and 26 as the chunked rank sweep computed them
-# before blocks sharing a prefix replaced it.  At the default chunk size
+# before blocks sharing a prefix replaced it.  At a chunk size of 2^16
 # a block's prefix has m - 22 files from length 23 on, so tiers 25 and 26
 # have three and four
 _EPS_SHA256 = [
