@@ -8,7 +8,7 @@ from .words import (PeriodicPattern, Word, count_words, enumerate_words,
                     validate, word_from_pattern)
 from .engine import MoveClass, classify_colon, classify_move
 from .grundy import (GrundyTable, PeriodicTable, PeriodReport, detect_period,
-                     epsilon, epsilon_plain, loony_plain, mex, nim_sum,
+                     epsilon, epsilon_plain, loony_plain, mex,
                      verify_period_window)
 from .oracle import (BoardPosition, initial_position, legal_moves,
                      oracle_epsilon, oracle_is_loony, outcome)
@@ -20,7 +20,7 @@ __all__ = [
     "enumerate_words", "word_from_pattern",
     "MoveClass", "classify_colon", "classify_move",
     "GrundyTable", "epsilon", "epsilon_plain", "loony_plain", "mex",
-    "nim_sum", "PeriodicTable", "PeriodReport",
+    "PeriodicTable", "PeriodReport",
     "detect_period", "verify_period_window",
     "BoardPosition", "initial_position", "legal_moves",
     "outcome", "oracle_epsilon", "oracle_is_loony",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .words import Word, validate
+from .words import Word, require_valid
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,7 @@ def classify_colon(underlined: bool, tail: Word, table) -> MoveClass:
     """Classify a move to the colon component with the given tail, read
     from the table's entry for the word made of the colon file and the
     tail."""
-    if not tail.is_valid:
-        raise ValueError("invalid word: adjacent stopped files at index "
-                         f"{validate(tail)}")
+    require_valid(tail)
     if underlined and tail and tail[0] == 1:
         raise ValueError("file next to a stopped colon file cannot be "
                          "stopped")
@@ -61,9 +59,7 @@ def classify_colon(underlined: bool, tail: Word, table) -> MoveClass:
 
 def classify_move(word: Word, k: int, table) -> MoveClass:
     """Classify the move at file k (0-based) of the component ``word``."""
-    if not word.is_valid:
-        raise ValueError("invalid word: adjacent stopped files at index "
-                         f"{validate(word)}")
+    require_valid(word)
     if not 0 <= k < len(word):
         raise IndexError("file index out of range")
     return _from_int(table.move_classes(word)[k])

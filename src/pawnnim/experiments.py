@@ -122,7 +122,8 @@ class ScanTables:
     w[:k-1] and has its value.  The class is ``(l & 127) ^ r2``, for r2 the
     byte r with bit 7 cleared unless bit 6 is set; it is 64 or more when a
     side is loony.  The tables take 1 + C[m + 1] / C[m], about 2.6 bytes
-    per word.
+    per word.  The colon entries of ``PeriodicTable`` carry the same
+    information, in int32 with the loony and side bits above the value.
 
     A tier is filled in blocks: the words that share their first j files,
     for the least j that keeps every block within ``chunk_size`` words.

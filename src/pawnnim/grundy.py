@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import reference
-from .words import PeriodicPattern, Word, validate
+from .words import PeriodicPattern, Word, require_valid
 
 
 def mex(values) -> int:
@@ -25,13 +25,6 @@ def mex(values) -> int:
         seen >>= 1
         m += 1
     return m
-
-
-def nim_sum(a: int, b: int) -> int:
-    """Value of a sum of two Nim heaps: bitwise exclusive or."""
-    if a < 0 or b < 0:
-        raise ValueError("Nim values are nonnegative")
-    return a ^ b
 
 
 class GrundyTable:
@@ -67,9 +60,7 @@ class GrundyTable:
         key = word.key
         if key in self._done:
             return
-        if not word.is_valid:
-            raise ValueError("invalid word: adjacent stopped files at index "
-                             f"{validate(word)}")
+        require_valid(word)
         bits, n = word.bits, word.length
         # a valid word repeating with period P < n never puts two stopped
         # files side by side when repeated, since w[P-1] w[P] is in it
@@ -139,98 +130,93 @@ def loony_plain(m: int) -> bool:
 #
 # For a word cut from a periodic stopping pattern, a subword's content is
 # fixed by (start phase, length), so the whole family of lengths 1..n needs
-# only p entries per length.  Three arrays indexed [phase, length] carry the
-# values and the colon classes of forward and reversed tails; the implicit
-# colon flag of an entry is the flag of the file adjacent to the tail, which
-# the phase determines.
+# only p entries per length: the value, and the colon entries of the
+# subword read forwards and backwards behind the file adjacent to it, whose
+# flag the phase determines.
 
 class InsufficientTableError(ValueError):
     pass
 
 
-def _colon_class(und, cap, adv, adv_u):
-    """Class of a move to a colon component, per phase, -1 for loony.
+_SIDE_R, _SIDE_F, _LOONY = 1 << 28, 1 << 29, 1 << 30
 
-    ``cap`` is the value of the tail after the capture, ``adv`` the class
-    of the colon component one file shorter that the advance leaves, and
-    ``adv_u`` the class two files shorter that a stopped colon file
-    (``und`` 1) leaves after its forced advance.  A plain colon file is
-    loony when adv == cap, and worth cap otherwise; a stopped one is worth
-    cap when adv_u == cap, and loony otherwise.
-    """
-    return np.where(np.where(und, adv_u != cap, adv == cap), -1, cap)
+
+def _colon_entry(und, cap, adv, adv_u, loony_bits):
+    """Colon entries, per phase, of tails whose capture leaves a piece
+    worth ``cap``.  ``adv`` is the entry one file shorter that the advance
+    leaves, ``adv_u`` the entry two files shorter that a stopped colon
+    file (``und`` 1) leaves after its forced advance.  A plain colon file
+    is loony when adv is cap, a stopped one unless adv_u is cap; a loony
+    entry equals no value."""
+    loony = np.where(und, adv_u != cap, adv == cap)
+    return np.where(loony, cap | loony_bits, cap)
 
 
 class PeriodicTable:
-    """Value and colon-class arrays for one stopping pattern, filled bottom
-    up over lengths and extendable in place.
+    """Values and colon entries for one stopping pattern, filled bottom up
+    over lengths and extendable in place.
 
-    Stored, and the only arrays ``save`` writes: ``E``, ``CF`` and ``CR``,
-    int32 and indexed [start phase, length].  Derived from them whenever
-    the arrays grow or are loaded, then kept in step by the fill:
+    Three int32 arrays of width w = n + 1, 12 bytes per cell: ``E[q, l]``,
+    the value of the subword of length l at start phase q; ``R[q, l]``,
+    the colon entry of that subword read backwards behind the colon file
+    q + l; and ``F[e, w - 1 - l]``, the colon entry of the subword of
+    length l that ends before end phase e, read forwards behind the colon
+    file e - l - 1, with the length axis reversed.
 
-    - ``EE``, int32: the values by end phase, the phase of the file just
-      past the subword's last file, with the length axis reversed:
-      ``EE[e, w - 1 - l] = E[(e - l) % p, l]`` for width w = n + 1;
-    - ``left_loony``, bool, [start phase, length]: the subword's last file
-      is open and its reversed colon class ``CR`` is loony;
-    - ``right_loony``, bool, laid out like ``EE``: the subword's first file
-      is open and its forward colon class ``CF`` is loony.
-
-    The right-hand pieces a move leaves in a length-L word all end at the
-    same file, so in the end-phase layout they lie along one row, and with
-    the length axis reversed that row reads forward.  A cell takes 18
-    bytes: 4 each in E, CF, CR and EE, and 1 in each side bit.
+    A colon entry holds the value of the piece a capture leaves, below
+    2^28; ``_LOONY`` if the colon class is loony, and then a side bit
+    (``_SIDE_R`` in R, ``_SIDE_F`` in F) if the tail's first file is open.
+    A class that is not loony is that value.  ``CF`` and ``CR`` decode F
+    and R by start phase, -1 for loony, and are what ``save`` writes.
     """
 
     def __init__(self, pattern: PeriodicPattern, max_length: int = 0):
         self.pattern = pattern
         self.p = p = pattern.period
-        self.flags = np.array([pattern.flag(q) for q in range(p)],
-                              dtype=bool)
         # indices the fill reads at every length, made once per table:
-        # phases and flags over two periods, so the (q + L) % p of all
-        # phases is the slice starting at L % p
+        # phases, flags and loony bits over two periods, so the (q + L) % p
+        # of all phases is the slice starting at L % p
         self._phases = np.arange(p, dtype=np.int32)
         self._cycle = np.tile(self._phases, 2)
-        self._flags2 = np.tile(self.flags, 2)
-        self._open2 = ~self._flags2
-        self._next = (self._phases + 1) % p
-        self._after_next = (self._phases + 2) % p
-        self._flag_before = self.flags[self._phases - 1]
+        self._flags2 = np.array([pattern.flag(q) for q in range(2 * p)],
+                                dtype=bool)
+        open2 = (~self._flags2).astype(np.int32)
+        self._r_loony = _LOONY | _SIDE_R * open2
+        self._f_loony = _LOONY | _SIDE_F * open2
         self.n = 0
         self.E = np.zeros((p, 1), dtype=np.int32)
-        self.CF = np.full((p, 1), -1, dtype=np.int32)
-        self.CR = np.full((p, 1), -1, dtype=np.int32)
-        self._derive_end_phase()
+        # an empty tail is loony, and its capture leaves nothing, worth 0
+        self.R = self._r_loony[p - 1:2 * p - 1, None].copy()
+        self.F = self._f_loony[:p, None].copy()
         if max_length:
             self.extend(max_length)
 
-    def _derive_end_phase(self) -> None:
-        """Derive EE and the side bits from E, CF, CR and their width."""
-        p, width = self.E.shape
-        e = self._phases[:, None]
-        lengths = np.arange(width)
-        l = lengths[::-1]  # the length at each reversed column
-        start = (e - l) % p
-        self.EE = self.E[start, l]
-        self.right_loony = ~self.flags[start] & (self.CF[start, l] < 0)
-        # the last file of the subword at phase q and length l is q + l - 1
-        self.left_loony = (~self.flags[(e + lengths - 1) % p]
-                           & (self.CR < 0))
+    @property
+    def CF(self) -> np.ndarray:
+        l = np.arange(self.F.shape[1])
+        F = np.take_along_axis(self.F[:, ::-1],
+                               (self._phases[:, None] + l) % self.p, axis=0)
+        return np.where(F & _LOONY, -1, F)
+
+    @property
+    def CR(self) -> np.ndarray:
+        return np.where(self.R & _LOONY, -1, self.R)
 
     def extend(self, n: int) -> None:
         if n <= self.n:
             return
-        p = self.p
-        for name, fill in (("E", 0), ("CF", -1), ("CR", -1)):
-            arr = np.full((p, n + 1), fill, dtype=np.int32)
-            arr[:, :self.n + 1] = getattr(self, name)
-            setattr(self, name, arr)
-        self._derive_end_phase()
+        p, width = self.p, n + 1
+        E, R, F = (np.zeros((p, width), dtype=np.int32) for _ in range(3))
+        E[:, :self.n + 1] = self.E
+        R[:, :self.n + 1] = self.R
+        F[:, width - self.n - 1:] = self.F
+        self.E, self.R, self.F = E, R, F
         start = self.n + 1
         if start <= 1 <= n:
-            self.E[:, 1] = self.EE[:, n - 1] = 1
+            # a lone file is worth 1, and as a colon tail it is loony
+            E[:, 1] = 1
+            R[:, 1] = self._r_loony[:p]
+            F[:, n - 1] = self._f_loony[p - 1:2 * p - 1]
             start = 2
         for length in range(start, n + 1):
             self._fill(length)
@@ -241,16 +227,7 @@ class PeriodicTable:
         ``phase``, or of the words at every phase for ``None``: a (1, L) or
         (p, L) array, -1 for loony.  Reads only lengths below L.  Raises
         ValueError unless the phase is in 0..p-1 and 0 <= L <= n + 1 for a
-        table of length n.
-
-        An end move is classified by the colon class of the rest of the
-        word.  An interior move at file k is non-loony when each side
-        either has a stopped neighbour or a non-loony colon class, and
-        then it is worth the value of the two remaining sides, e1 ^ e2.
-        The left side of file k is the subword at phase q of length k - 1;
-        the right side, and the colon tail read from it, end at file L - 1,
-        so they are forward slices of the end-phase row (q + L) % p.
-        """
+        table of length n."""
         p = self.p
         if phase is None:
             a, m = 0, p
@@ -263,61 +240,65 @@ class PeriodicTable:
         if not 0 <= L <= width:
             raise ValueError(f"L = {L} is outside 0..{width} for a table "
                              f"of length {width - 1}")
-        out = np.zeros((m, L), dtype=np.int32)
+        out = self._moves(a, m, L)
+        out[out >= _SIDE_R] = -1
+        return out
+
+    def _moves(self, a: int, m: int, L: int) -> np.ndarray:
+        """The moves of the length-L words at phases a..a + m - 1: a class,
+        or at least ``_SIDE_R`` for loony.  An end move is the colon entry
+        of the rest of the word, loony with LOONY.  An interior move at file
+        k leaves the capture pieces of R[q, k] and of F of the tail from
+        file k + 1: its class is their exclusive or with LOONY cleared, and
+        it is loony exactly when a side bit survives.  Those tails all end
+        at file L - 1, so their F entries are a slice of end row (q + L) % p.
+        """
         if L <= 1:
-            return out  # the lone pawn's move is a move to 0
-        out[:, 0] = self.CF[self._next[a:a + m], L - 1]
-        out[:, L - 1] = self.CR[a:a + m, L - 1]
-        if L == 2:
-            return out
-        # for k = 1 .. L - 2: E[q, k - 1] and the side bit of CR[q, k] by
-        # start row; E[(q + k + 2) % p, L - 2 - k] and the side bit of
-        # CF[(q + k + 1) % p, L - 1 - k] by end row, in reversed columns
-        e1 = self.E[a:a + m, :L - 2]
-        left = self.left_loony[a:a + m, 1:L - 1]
-        e2 = self.EE[:, width - L + 2:]
-        right = self.right_loony[:, width - L + 1:width - 1]
+            return np.zeros((m, L), dtype=np.int32)  # a move to 0
+        out = np.empty((m, L), dtype=np.int32)
+        width = self.E.shape[1]
+        F = self.F[:, width - L:width - 1]
+        R = self.R[a:a + m]
+        # the end rows of all phases wrap past p - 1 at most once, so they
+        # are two row slices
+        end = (a + L) % self.p
+        split = min(m, self.p - end)
         inner = out[:, 1:L - 1]
-        loony = np.empty(inner.shape, dtype=bool)
-        # the end rows (q + L) % p of all phases wrap past p - 1 at most
-        # once, so they are two row slices
-        end = (a + L) % p
-        split = min(m, p - end)
         for lo, hi, e in ((0, split, end), (split, m, 0)):
             if lo < hi:
-                np.bitwise_xor(e1[lo:hi], e2[e:e + hi - lo], out=inner[lo:hi])
-                np.bitwise_or(left[lo:hi], right[e:e + hi - lo],
-                              out=loony[lo:hi])
-        # a loony bit read as int8 and negated is 0 or -1, all bits set, so
-        # this writes -1 for loony
-        mask = loony.view(np.int8)
-        np.bitwise_or(inner, np.negative(mask, out=mask), out=inner)
+                right = F[e:e + hi - lo]
+                out[lo:hi, 0] = right[:, 0]
+                np.bitwise_xor(R[lo:hi, 1:L - 1], right[:, 1:],
+                               out=inner[lo:hi])
+        np.bitwise_and(inner, ~_LOONY, out=inner)
+        out[:, L - 1] = R[:, L - 1]
         return out
 
     def _fill(self, L: int) -> None:
         p = self.p
-        E, CF, CR = self.E, self.CF, self.CR
-        col = E.shape[1] - 1 - L  # the reversed column of length L
-        end = self._cycle[L % p:L % p + p]  # (q + L) % p
+        E, R, F = self.E, self.R, self.F
         # mex of each row: L moves leave one of the values 0..L unused, and
         # no class exceeds L (e1 ^ e2 <= e1 + e2 <= L - 3).  Loony moves
-        # (-1) land in the spare last column of the row before.
-        cls = self.move_classes(None, L)
-        seen = np.zeros((p, L + 2), dtype=bool)
+        # land in the spare last column of their row.
+        cls = self._moves(0, p, L)
+        np.minimum(cls, L + 1, out=cls)
         cls += (L + 2) * self._phases[:, None]  # offset of each row in seen
+        seen = np.zeros((p, L + 2), dtype=bool)
         seen.ravel()[cls.ravel().astype(np.intp)] = True
-        E[:, L] = self.EE[end, col] = seen[:, :L + 1].argmin(axis=1)
-        # colon classes for tails of length L, both reading directions.  CF
-        # and CR hold -1 at lengths 0 and 1, which equals no value, so every
-        # tail shorter than 3 behind a stopped colon file comes out loony
-        r1 = self._next
-        CF[:, L] = cf = _colon_class(self._flag_before, E[r1, L - 1],
-                                     CF[r1, L - 1], CF[self._after_next, L - 2])
-        CR[:, L] = cr = _colon_class(self._flags2[L % p:L % p + p],
-                                     E[:, L - 1], CR[:, L - 1], CR[:, L - 2])
-        self.right_loony[end, col] = self._open2[:p] & (cf < 0)
-        last = (L - 1) % p  # phase of the last file, q + L - 1
-        self.left_loony[:, L] = self._open2[last:last + p] & (cr < 0)
+        E[:, L] = seen[:, :L + 1].argmin(axis=1)
+        # R's tail at start phase q has its colon file at q + L and its
+        # first file at q + L - 1; F's tail at end phase e starts at e - L
+        # behind the colon file e - L - 1, and its shorter entries share e
+        s, f = L % p, (L - 1) % p
+        R[:, L] = _colon_entry(self._flags2[s:s + p], E[:, L - 1],
+                               R[:, L - 1], R[:, L - 2],
+                               self._r_loony[f:f + p])
+        t, u, c = -L % p, (-L - 1) % p, (1 - L) % p
+        col = F.shape[1] - 1 - L
+        F[:, col] = _colon_entry(self._flags2[u:u + p],
+                                 E[self._cycle[c:c + p], L - 1],
+                                 F[:, col + 1], F[:, col + 2],
+                                 self._f_loony[t:t + p])
 
     def values(self) -> np.ndarray:
         """Component values for lengths 0..n at the pattern's file origin."""
@@ -333,7 +314,10 @@ class PeriodicTable:
     @classmethod
     def load(cls, path) -> "PeriodicTable":
         """Read back a table written by ``save``.  Raises ValueError unless
-        E, CF and CR are signed integer arrays of shape (period, n + 1)."""
+        E, CF and CR are signed integer arrays of shape (period, n + 1) and
+        each colon class is -1 or the value of the piece a capture leaves:
+        ``CF[q, l]`` is -1 or ``E[(q + 1) % p, l - 1]``, and ``CR[q, l]``
+        is -1 or ``E[q, l - 1]``.  A value ``E[q, l]`` lies in 0..l."""
         with np.load(path) as data:
             pattern = PeriodicPattern(int(data["period"]),
                                       frozenset(int(r) for r in data["stopped"]),
@@ -348,8 +332,19 @@ class PeriodicTable:
                 raise ValueError(f"{name} must be a signed integer array of "
                                  f"shape {shape}, got {arr.dtype} {arr.shape}")
         table = cls(pattern)
-        table.E, table.CF, table.CR, table.n = E, CF, CR, n
-        table._derive_end_phase()
+        p, q, l = table.p, table._phases[:, None], np.arange(n + 1)
+        if E.min() < 0 or (E > l).any():
+            raise ValueError("E[q, l] must lie in 0..l")
+        cap = np.zeros(shape, dtype=np.int32)  # E one file shorter
+        cap[:, 1:] = E[:, :-1]
+        table.R = np.where(CR < 0, cap | table._r_loony[(q + l - 1) % p], cap)
+        cap[:, 1:] = np.roll(E, -1, axis=0)[:, :-1]
+        F = np.where(CF < 0, cap | table._f_loony[q], cap)
+        table.F = F[(q - l[::-1]) % p, l[::-1]]
+        table.E, table.n = E, n
+        if not (np.array_equal(table.CF, CF) and np.array_equal(table.CR, CR)):
+            raise ValueError("a colon class must be -1 or the value of the "
+                             "piece its capture leaves")
         return table
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .words import Word, validate
+from .words import Word, require_valid
 
 WHITE, BLACK = 0, 1
 
@@ -91,11 +91,8 @@ def initial_position(components: Iterable["Word | str"],
     """Components side by side, one empty file between consecutive ones;
     each component file holds a White pawn on row 1 and a Black pawn on
     row 3, and stopped files come from the word flags."""
-    comps = [c if isinstance(c, Word) else Word(c) for c in components]
-    for c in comps:
-        if not c.is_valid:
-            raise ValueError("invalid word: adjacent stopped files at index "
-                             f"{validate(c)}")
+    comps = [require_valid(c if isinstance(c, Word) else Word(c))
+             for c in components]
     width = sum(len(c) for c in comps) + max(0, len(comps) - 1)
     white = black = 0
     stopped = set()

@@ -120,6 +120,14 @@ def validate(word: Word):
     return (bad & -bad).bit_length() - 1
 
 
+def require_valid(word: Word) -> Word:
+    """Return ``word``; raise ValueError if two stopped files are adjacent."""
+    if not word.is_valid:
+        raise ValueError("invalid word: adjacent stopped files at index "
+                         f"{validate(word)}")
+    return word
+
+
 def count_words(m: int) -> int:
     """Number of valid words of length m (the (m+2)-nd Fibonacci number)."""
     if m < 0:

@@ -9,7 +9,7 @@ from pawnnim.engine import classify_colon, classify_move
 from pawnnim.experiments import ScanTables, periodic_scan, write_report
 from pawnnim.grundy import (GrundyTable, InsufficientTableError,
                             PeriodicTable, detect_period, epsilon,
-                            epsilon_plain, loony_plain, mex, nim_sum,
+                            epsilon_plain, loony_plain, mex,
                             verify_period_window)
 from pawnnim.words import PeriodicPattern, Word, enumerate_words, \
     word_from_pattern
@@ -26,14 +26,6 @@ def test_mex():
     assert mex([0, 1]) == 2
     assert mex([0, 2, 3]) == 1
     assert mex([-1, 0, 1]) == 2  # loony markers are ignored
-
-
-def test_nim_sum():
-    assert nim_sum(1, 1) == 0
-    assert nim_sum(1, 2) == 3
-    assert nim_sum(0, 7) == 7
-    with pytest.raises(ValueError):
-        nim_sum(-1, 0)
 
 
 def test_epsilon_known_values(table):
@@ -216,9 +208,11 @@ _PADDED20 = PeriodicPattern(
 
 
 def _assert_same_table(got, fresh, n):
-    for name in ("E", "CF", "CR"):
+    for name in ("E", "R", "CF", "CR"):
         assert np.array_equal(getattr(got, name),
                               getattr(fresh, name)[:, :n + 1]), (name, n)
+    # F's length axis is reversed, so lengths 0..n are its last columns
+    assert np.array_equal(got.F, fresh.F[:, fresh.F.shape[1] - n - 1:]), n
     # move_classes reads lengths below L, so a table of length n serves
     # every L up to n + 1
     for L in sorted({0, 1, 2, 3, n // 2, n, n + 1} & set(range(n + 2))):
@@ -234,8 +228,9 @@ def _assert_same_table(got, fresh, n):
     _PADDED20,
 ], ids=["p1", "p6", "p14", "p5-origin3", "padded20"])
 def test_periodic_table_extend_matches_fresh(pattern, tmp_path):
-    # the arrays derived from E, CF and CR are rebuilt whenever the table
-    # grows or is loaded; growing in steps must match a one-shot fill
+    # F is copied into the right-hand columns whenever the table grows, and
+    # load encodes R and F from E and the signs of CF and CR; growing in
+    # steps, or from a loaded table, must match a one-shot fill
     fresh = PeriodicTable(pattern, 200)
     grown = PeriodicTable(pattern)
     for n in (0, 1, 2, 3, 37, 200):
@@ -286,10 +281,15 @@ def test_periodic_table_save_load(tmp_path):
     assert np.array_equal(back.E, t.E)
     assert np.array_equal(back.move_classes(None, 40),
                           t.move_classes(None, 40))
+    # E, R and F, int32 each, are the only arrays that grow with a table,
+    # filled or loaded
+    for table in (t, back):
+        assert sum(a.nbytes for a in vars(table).values()
+                   if isinstance(a, np.ndarray) and a.ndim == 2) == 12 * 6 * 41
     back.extend(80)
     fresh = PeriodicTable(pattern, 80)
-    # the fill reads arrays derived from E, CF and CR that save does not
-    # write, so a loaded table must rebuild them before it can classify or
+    # save writes the decoded CF and CR, not the R and F entries the fill
+    # reads, so a loaded table must encode them before it can classify or
     # extend
     for name in ("E", "CF", "CR"):
         assert np.array_equal(getattr(back, name), getattr(fresh, name)), name
@@ -362,16 +362,30 @@ def test_move_classes_rejects_lengths_the_table_lacks():
             table.move_classes(0, L)
 
 
+_P6_40 = PeriodicTable(PeriodicPattern(6, frozenset({4})), 40)
+
+
+def _edited(name, index, value):
+    a = getattr(_P6_40, name).copy()
+    a[index] = value
+    return {name: a}
+
+
 @pytest.mark.parametrize("change", [
     {"E": np.zeros((3, 5), dtype=np.int32),
      "CF": np.zeros((2, 2), dtype=np.int32)},
     {"CR": np.zeros((6, 41))},
     {"n": 50},
     {"n": -1},
+    # a colon class that is not loony, set to a value other than that of
+    # the piece its capture leaves, which E holds
+    _edited("CF", tuple(np.argwhere(_P6_40.CF > 0)[-1]), 0),
+    # a value above its length, in a column no colon class reads
+    _edited("E", (0, 40), 41),
 ])
 def test_periodic_table_load_rejects_tampered_file(tmp_path, change):
     path = tmp_path / "p6.npz"
-    PeriodicTable(PeriodicPattern(6, frozenset({4})), 40).save(path)
+    _P6_40.save(path)
     with np.load(path) as data:
         fields = dict(data)
     np.savez(path, **{**fields, **change})

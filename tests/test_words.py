@@ -1,7 +1,11 @@
 import pytest
 
+from pawnnim.engine import classify_colon, classify_move
+from pawnnim.grundy import GrundyTable
+from pawnnim.oracle import initial_position
 from pawnnim.words import (PeriodicPattern, Word, count_words,
-                           enumerate_words, validate, word_from_pattern)
+                           enumerate_words, require_valid, validate,
+                           word_from_pattern)
 
 
 def test_word_basics():
@@ -29,6 +33,20 @@ def test_validate():
     assert validate(Word("0110")) == 1
     assert validate(Word("11")) == 0
     assert not Word("0110").is_valid
+
+
+def test_invalid_words_are_refused_with_one_message():
+    # the engines and the oracle refuse an invalid word the same way
+    bad = Word("0110")
+    assert require_valid(Word("1000")) == Word("1000")
+    for call in (lambda: require_valid(bad),
+                 lambda: GrundyTable().ensure(bad),
+                 lambda: classify_move(bad, 0, GrundyTable()),
+                 lambda: classify_colon(False, bad, GrundyTable()),
+                 lambda: initial_position(["0", bad])):
+        with pytest.raises(ValueError, match="adjacent stopped files at "
+                                             "index 1$"):
+            call()
 
 
 def test_reverse():
