@@ -18,7 +18,10 @@ import os
 import sys
 from contextlib import contextmanager
 
-from . import __version__, engine, experiments, grundy, oracle, reference
+# grundy and experiments import numpy, so only the handlers that compute
+# with them import them: --version, embed and the oracle's searches never
+# load it
+from . import __version__, engine, oracle, reference
 from .embed import EmbedError, embed as build_diagram, render
 from .words import PeriodicPattern, Word, validate
 
@@ -66,6 +69,7 @@ def _workers(args) -> int:
 
 def cmd_eval(args) -> int:
     word = _parse_word(args.word)
+    from . import grundy
     table = grundy.GrundyTable()
     value = grundy.epsilon(word, table)
     print(f"epsilon({word}) = {value}")
@@ -78,6 +82,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import experiments
     if not 0 <= args.length <= experiments.MAX_SCAN_LENGTH:
         raise UsageError(f"--length must be between 0 and "
                          f"{experiments.MAX_SCAN_LENGTH}")
@@ -101,6 +106,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_periodic(args) -> int:
+    from . import experiments
     if args.max_length < 0:
         raise UsageError("--max-length must be nonnegative")
     try:
@@ -142,6 +148,7 @@ def cmd_oracle(args) -> int:
         return MISMATCH
     print(f"oracle epsilon({word}) = {value}")
     if args.check_loony:
+        from . import grundy
         table = grundy.GrundyTable()
         status = OK
         for k in range(len(word)):
@@ -159,6 +166,7 @@ def cmd_tables(args) -> int:
     which = args.which
     workers = _workers(args)
     if which == "thm2":
+        from . import grundy
         limit = 2000
         values = grundy.PeriodicTable(PeriodicPattern(1, frozenset()),
                                       limit).values()
@@ -166,6 +174,7 @@ def cmd_tables(args) -> int:
                if values[m] != grundy.epsilon_plain(m)]
         return _verdict("thm2", f"recursion vs closed form to m={limit}",
                         not bad)
+    from . import experiments
     if which == "first-occurrence":
         maxk = reference.FIRST_OCCURRENCE_DEFAULT_MAX
         expected = {k: reference.FIRST_OCCURRENCE_LENGTHS[k]

@@ -8,15 +8,18 @@ player without a move loses.  An attached Nim heap models extra *k
 summands: either player may shrink it to any smaller size.
 
 The search knows nothing about components or colon notation, so it is an
-independent check on the classification engine.  Pawn moves are stated
-once, in ``_move_sets``, as whole-board shifts of the square bits
-(file*3 + row-1): White advances by +1 and captures toward the lower and
-the higher file by -2 and +4, Black by -1, -4 and +2.  Masks from the
+independent check on the classification engine.  Pawn moves are
+whole-board shifts of the square bits (file*3 + row-1): White advances
+by +1 and captures toward the lower and the higher file by -2 and +4,
+Black by -1, -4 and +2.  ``_move_sets`` states them for ``legal_moves``
+and ``principal_variation``; the solver's two search functions, one per
+side, restate them with their side's shifts as constants, and
+``test_solver_searches_the_reference_positions`` holds the solver to the
+positions a plain search over ``legal_moves`` reaches.  Masks from the
 board geometry (its width and stopped files) keep each side's pawns on
 the rows they can move from and mark the far-row squares of unstopped
-files.  ``legal_moves``, ``principal_variation``,
-``BoardPosition.touchdown_winner`` and ``Solver`` all read them.  The
-solver searches raw ints under one packed int key per position, checks
+files; ``BoardPosition.touchdown_winner`` reads them too.  The solver
+searches raw ints under one packed int key per position, checks
 touchdown only at its root, tries children in ``legal_moves`` order, and
 is bound to the one geometry it first sees.
 """
@@ -199,31 +202,25 @@ class Solver:
     ``((heap << S | black) << S | white) << 1 | side`` with S = 3 * width.
     It names neither the board's width nor its stopped files, so a solver
     is bound to the geometry of the first position it is asked about and
-    raises ValueError for any other.  Moves come from ``_move_sets``:
-    whole-board shifts give the pawns that can advance or capture either
-    way, and one AND of the squares they land on with the far-row mask of
-    unstopped files finds a move that wins at once, which ends the search
-    of its position before any child is searched.  Otherwise the children
-    are searched in the order of ``legal_moves`` (pawns low bit first;
-    advance, capture toward the lower file, capture toward the higher
-    file), then the heap reductions.  Touchdown is checked only at the
-    root, so every child reached is free of touchdowns.
+    raises ValueError for any other.  Binding builds the search, one
+    function per side (see ``_searches``), with ``max_states`` as it is
+    then.  Touchdown is checked only at the root, so every child reached
+    is free of touchdowns.
     """
 
     def __init__(self, max_states: int = 4_000_000):
         self.memo = {}
         self.max_states = max_states
         self._geometry = None
-        self._bits = 0
-        self._movable = self._far = (0, 0)
+        self._searches = None
 
     def wins(self, pos: BoardPosition, heap: int = 0) -> bool:
         """True when the side to move wins with best play."""
         geometry = (pos.width, frozenset(pos.stopped))
         if self._geometry is None:
             self._geometry = geometry
-            self._bits = 3 * pos.width
-            self._movable, self._far = _masks(*geometry)
+            self._searches = _searches(self.memo, self.max_states,
+                                       3 * pos.width, *_masks(*geometry))
         elif geometry != self._geometry:
             raise ValueError(
                 f"solver is bound to width {self._geometry[0]} with stopped "
@@ -232,68 +229,127 @@ class Solver:
         winner = pos.touchdown_winner()
         if winner is not None:
             return winner == pos.side_to_move
+        white, black = self._searches
         if pos.side_to_move == WHITE:
-            return self._wins(pos.white, pos.black, WHITE, heap)
-        return self._wins(pos.black, pos.white, BLACK, heap)
+            return white(pos.white, pos.black, heap, white, black)
+        return black(pos.white, pos.black, heap, black, white)
 
-    def _wins(self, own: int, other: int, side: int, heap: int) -> bool:
-        """``own`` holds the pawns of the side to move, ``other`` the
-        rival's."""
-        bits = self._bits
-        white, black = (own, other) if side == WHITE else (other, own)
-        key = ((heap << bits | black) << bits | white) << 1 | side
-        memo = self.memo
-        cached = memo.get(key)
+
+def _searches(memo: dict, max_states: int, bits: int, movable: tuple,
+              far: tuple) -> tuple:
+    """The search functions for White and for Black to move, which record
+    every position they search in ``memo``.
+
+    Each takes the pawns (white, black), the heap, itself and the other
+    side's function, and has its side's shifts, masks and memo-key
+    layout as constants: White advances by +1 and captures toward the
+    lower and the higher file by -2 and +4, Black by -1, -4 and +2, as
+    in ``_move_sets``.  A move that reaches the far row of an unstopped
+    file wins at once, which ends the search of its position before any
+    child is searched.  Otherwise the children are searched in the order
+    of ``legal_moves`` (pawns low bit first; advance, capture toward the
+    lower file, capture toward the higher file), then the heap
+    reductions.  The functions reach each other through their arguments,
+    not their closures, so they form no reference cycle and a dropped
+    solver frees its memo at once.
+    """
+    get = memo.get
+    white_movable, black_movable = movable
+    white_far, black_far = far
+
+    def white_to_move(white: int, black: int, heap: int, this,
+                      rival) -> bool:
+        key = ((heap << bits | black) << bits | white) << 1
+        cached = get(key)
         if cached is not None:
             return cached
-        if len(memo) >= self.max_states:
+        if len(memo) >= max_states:
             raise ResourceLimitError(
-                f"transposition table exceeded {self.max_states} entries")
-        adv, capl, capr, advd, capld, caprd = _move_sets(
-            side, own, other, self._movable[side])
-        if (advd | capld | caprd) & self._far[side]:
+                f"transposition table exceeded {max_states} entries")
+        own = white & white_movable
+        adv = own & ~(white | black) >> 1
+        capl = own & black << 2
+        capr = own & black >> 4
+        if (adv << 1 | capl >> 2 | capr << 4) & white_far:
             memo[key] = True
             return True
         # no child has a touchdown: the mover's only new far-row pawn would
         # have won at once above, and the rival's pawns were checked at the
         # root and only ever lose squares since
-        rival = 1 - side
-        result = False
         bb = adv | capl | capr
         # the three move kinds stay unrolled: one loop over them costs
         # about 1.35x as much per position
         while bb:
             low = bb & -bb
             bb ^= low
-            # shifts keep order, so each pawn lands on the lowest square of
-            # its move's set not yet taken
-            if adv & low:
-                dest = advd & -advd
-                advd ^= dest
-                if not self._wins(other, own ^ low ^ dest, rival, heap):
-                    result = True
-                    break
+            # a pawn lands on its own bit shifted by its move
+            if adv & low and not rival(white ^ low ^ low << 1, black, heap,
+                                       rival, this):
+                break
             if capl & low:
-                dest = capld & -capld
-                capld ^= dest
-                if not self._wins(other ^ dest, own ^ low ^ dest, rival,
-                                  heap):
-                    result = True
+                dest = low >> 2
+                if not rival(white ^ low ^ dest, black ^ dest, heap, rival,
+                             this):
                     break
             if capr & low:
-                dest = caprd & -caprd
-                caprd ^= dest
-                if not self._wins(other ^ dest, own ^ low ^ dest, rival,
-                                  heap):
-                    result = True
+                dest = low << 4
+                if not rival(white ^ low ^ dest, black ^ dest, heap, rival,
+                             this):
                     break
-        if not result:
+        else:
             for smaller in range(heap):
-                if not self._wins(other, own, rival, smaller):
-                    result = True
+                if not rival(white, black, smaller, rival, this):
                     break
-        memo[key] = result
-        return result
+            else:
+                memo[key] = False
+                return False
+        memo[key] = True
+        return True
+
+    def black_to_move(white: int, black: int, heap: int, this,
+                      rival) -> bool:
+        key = ((heap << bits | black) << bits | white) << 1 | 1
+        cached = get(key)
+        if cached is not None:
+            return cached
+        if len(memo) >= max_states:
+            raise ResourceLimitError(
+                f"transposition table exceeded {max_states} entries")
+        own = black & black_movable
+        adv = own & ~(white | black) << 1
+        capl = own & white << 4
+        capr = own & white >> 2
+        if (adv >> 1 | capl >> 4 | capr << 2) & black_far:
+            memo[key] = True
+            return True
+        bb = adv | capl | capr
+        while bb:
+            low = bb & -bb
+            bb ^= low
+            if adv & low and not rival(white, black ^ low ^ low >> 1, heap,
+                                       rival, this):
+                break
+            if capl & low:
+                dest = low >> 4
+                if not rival(white ^ dest, black ^ low ^ dest, heap, rival,
+                             this):
+                    break
+            if capr & low:
+                dest = low << 2
+                if not rival(white ^ dest, black ^ low ^ dest, heap, rival,
+                             this):
+                    break
+        else:
+            for smaller in range(heap):
+                if not rival(white, black, smaller, rival, this):
+                    break
+            else:
+                memo[key] = False
+                return False
+        memo[key] = True
+        return True
+
+    return white_to_move, black_to_move
 
 
 def outcome(pos: BoardPosition, heap: int = 0) -> bool:

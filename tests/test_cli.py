@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from pawnnim import cli
+from pawnnim import cli, experiments
 from pawnnim.cli import main
 
 DIAG_STOPPED_ONLY = """\
@@ -151,6 +151,51 @@ def test_version(capsys):
     assert capsys.readouterr().out.startswith("pawnnim ")
 
 
+def _package_env():
+    """The environment with this checkout's package first on the path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _fresh_python(script, *argv):
+    """Standard output of ``script`` run in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True,
+                          env=_package_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["embed", "--words", "1000"],
+    ["oracle", "--word", "10"],
+    ["eval", "11"],  # a usage error
+])
+def test_light_subcommands_do_not_import_numpy(argv):
+    # importing numpy costs about 0.1 s of each process's start
+    out = _fresh_python("import sys\n"
+                        "from pawnnim.cli import main\n"
+                        "try:\n"
+                        "    main(sys.argv[1:])\n"
+                        "except SystemExit:\n"
+                        "    pass\n"
+                        "print('numpy' in sys.modules)\n", *argv)
+    assert out.splitlines()[-1] == "False"
+
+
+def test_package_exports_resolve():
+    # grundy's names load on first access, and are still listed
+    out = _fresh_python("import pawnnim\n"
+                        "names = dir(pawnnim)\n"
+                        "for name in pawnnim.__all__:\n"
+                        "    assert name in names, name\n"
+                        "    assert getattr(pawnnim, name) is not None\n"
+                        "print('ok')\n")
+    assert out == "ok\n"
+
+
 def test_scan_output_does_not_depend_on_workers(capsys):
     scan = ["scan", "--length", "6", "--distribution"]
     code, out1, _ = run(capsys, *scan)
@@ -161,13 +206,10 @@ def test_scan_output_does_not_depend_on_workers(capsys):
 def test_closed_stdout_exits_without_traceback():
     # the reader stops after one line of a report several pipe buffers
     # long, so the writer meets the closed pipe while writing
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "pawnnim.cli", "periodic", "--period", "1",
          "--max-length", "8000", "--format", "jsonl"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_package_env())
     assert proc.stdout.readline().startswith(b"# pawnnim ")
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -184,8 +226,8 @@ def test_unwritable_output_usage_error(capsys, monkeypatch, tmp_path, argv):
     # the output is opened before anything is computed
     def unreachable(*args, **kwargs):
         raise AssertionError("computed before opening the output")
-    for owner, name in ((cli.experiments, "ScanTables"),
-                        (cli.experiments, "periodic_scan"),
+    for owner, name in ((experiments, "ScanTables"),
+                        (experiments, "periodic_scan"),
                         (cli, "build_diagram")):
         monkeypatch.setattr(owner, name, unreachable)
     path = tmp_path / "missing" / "out.txt"

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from pawnnim import oracle
@@ -228,6 +231,23 @@ def test_inert_pawn_on_stopped_far_row():
     after = apply_move(pos, advance)
     assert after.touchdown_winner() is None
     assert after.piece_at(0, 3) == "P"
+
+
+def test_dropped_solver_frees_its_memo_without_the_cycle_collector():
+    # oracle_epsilon's solvers are let go when it returns; their search
+    # functions hold no reference cycle, so reference counting frees the
+    # memos (about 14 MB if a cycle kept them)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        oracle_epsilon("00100101")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert held < 1_000_000
 
 
 def test_resource_limit():
