@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--words", required=True,
                    help="comma-separated component words")
     p.add_argument("--height", type=int, default=9)
-    p.add_argument("--width", type=int, default=12)
+    p.add_argument("--width", type=int,
+                   help="board files (default: the narrowest that fits)")
     p.add_argument("--format", choices=["ascii", "fen"], default="ascii")
     p.add_argument("--output", default="-", metavar="PATH",
                    help="output file, '-' for standard output")

@@ -8,7 +8,8 @@ so that whoever loses the pawn fight must self-destruct in the Zugzwang.
 A trailing one-file component (the attached *1 heap of the illustrative
 positions) sits in the spare file between the Zugzwang and the corner
 locks; everything else fills from the left with one empty separator file
-between components.
+between components.  Unless a width is given, the board is the narrowest
+that holds the left-filled components, their separators and the frame.
 
 The frame template is exact for height 9; other odd heights are emitted
 best effort with a warning, since only the 9-row arrangement has a fully
@@ -17,6 +18,7 @@ checked reference.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -79,13 +81,24 @@ def _require_odd_height(height: int, any_stopped: bool) -> None:
         raise EmbedError("stopped files need height at least 9")
 
 
-def embed(components, height: int, width: int) -> ChessDiagram:
+def _file_squares(stopped: int, height: int) -> "list[tuple]":
+    """(row, piece) squares of one component file: a White pawn just below
+    the middle rank and a Black pawn just above it, and on a stopped file
+    Black-over-White stopper pairs near each edge."""
+    squares = [((height - 1) // 2, "P"), ((height + 3) // 2, "p")]
+    if stopped:
+        squares += [(height - 1, "p"), (height - 2, "P"), (3, "p"), (2, "P")]
+    return squares
+
+
+def embed(components, height: int, width: int | None = None) -> ChessDiagram:
     """Realize the component list on a height x width board.
 
-    Raises EmbedError when the dimensions cannot hold the components plus
-    the six frame files.
+    Without a width, the board is the narrowest that holds the components
+    filled from the left, their separator files and the six frame files.
+    Raises EmbedError when a given width cannot hold them.
     """
-    comps = [c if isinstance(c, Word) else Word(c) for c in components]
+    comps = [Word(c) for c in components]
     for c in comps:
         if not c.is_valid:
             raise EmbedError("invalid word: adjacent stopped files at index "
@@ -95,41 +108,29 @@ def embed(components, height: int, width: int) -> ChessDiagram:
     any_stopped = any(any(c) for c in comps)
     _require_odd_height(height, any_stopped)
 
-    heap_comp = None
-    left = list(comps)
-    if len(comps) >= 2 and len(comps[-1]) == 1:
-        heap_comp = comps[-1]
-        left = comps[:-1]
+    # a trailing one-file component sits in the frame's spare file
+    left = comps[:-1] if len(comps) >= 2 and len(comps[-1]) == 1 else comps
     left_width = sum(len(c) for c in left) + max(0, len(left) - 1)
-    if left_width > width - 6:
+    if width is None:
+        width = left_width + 6
+    elif left_width > width - 6:
         raise EmbedError(
             f"width {width} too small: components need {left_width} files "
             f"plus the 6 frame files")
 
     diag = ChessDiagram(height, width)
-    wrow = (height - 1) // 2
-    brow = (height + 3) // 2
 
     def place_component(comp: Word, file0: int) -> None:
         for off, flag in enumerate(comp):
-            f = file0 + off
-            diag.put(f, wrow, "P")
-            diag.put(f, brow, "p")
-            if flag:
-                # stopper pawns: Black over White near each edge
-                diag.put(f, height - 1, "p")
-                diag.put(f, height - 2, "P")
-                diag.put(f, 3, "p")
-                diag.put(f, 2, "P")
+            for row, piece in _file_squares(flag, height):
+                diag.put(file0 + off, row, piece)
 
     f = 1
-    for idx, comp in enumerate(left):
-        if idx:
-            f += 1
+    for comp in left:
         place_component(comp, f)
-        f += len(comp)
-    if heap_comp is not None:
-        place_component(heap_comp, width - 2)
+        f += len(comp) + 1
+    if len(left) < len(comps):
+        place_component(comps[-1], width - 2)
 
     _place_frame(diag)
     diag.check()
@@ -166,27 +167,11 @@ def render(diag: ChessDiagram, format: str = "ascii") -> str:
     """ascii: one row per line, top row first, '.' for empty squares.
     fen: rows top to bottom joined by '/', empty runs as decimal counts
     (multi-digit on wide boards)."""
+    lines = ["".join(row) for row in reversed(diag.rows)]
     if format == "ascii":
-        return "\n".join("".join(diag.rows[r]) for r in
-                         range(diag.height - 1, -1, -1))
+        return "\n".join(lines)
     if format == "fen":
-        out_rows = []
-        for r in range(diag.height - 1, -1, -1):
-            row = diag.rows[r]
-            parts = []
-            empties = 0
-            for c in row:
-                if c == ".":
-                    empties += 1
-                    continue
-                if empties:
-                    parts.append(str(empties))
-                    empties = 0
-                parts.append(c)
-            if empties:
-                parts.append(str(empties))
-            out_rows.append("".join(parts))
-        return "/".join(out_rows)
+        return re.sub(r"\.+", lambda run: str(len(run[0])), "/".join(lines))
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -194,51 +179,27 @@ def parse_render(text: str, format: str = "ascii") -> ChessDiagram:
     """Inverse of render, for round-trip checks."""
     if format == "ascii":
         lines = [ln for ln in text.splitlines() if ln]
-        height = len(lines)
-        width = len(lines[0])
-        rows = [list(lines[height - 1 - r]) for r in range(height)]
-        return ChessDiagram(height, width, rows)
-    if format == "fen":
-        lines = text.split("/")
-        parsed = []
-        for ln in lines:
-            row = []
-            num = ""
-            for ch in ln:
-                if ch.isdigit():
-                    num += ch
-                    continue
-                if num:
-                    row.extend(["."] * int(num))
-                    num = ""
-                row.append(ch)
-            if num:
-                row.extend(["."] * int(num))
-            parsed.append(row)
-        height = len(parsed)
-        width = len(parsed[0])
-        rows = [parsed[height - 1 - r] for r in range(height)]
-        return ChessDiagram(height, width, rows)
-    raise ValueError(f"unknown format {format!r}")
+    elif format == "fen":
+        lines = re.sub(r"\d+", lambda run: "." * int(run[0]), text).split("/")
+    else:
+        raise ValueError(f"unknown format {format!r}")
+    return ChessDiagram(len(lines), len(lines[0]),
+                        [list(ln) for ln in reversed(lines)])
 
 
 def extract_components(diag: ChessDiagram) -> "list[Word]":
     """Read the component words back out of a diagram: a component file
-    holds the White/Black pawn pair at the middle ranks, and its stopped
-    flag is the presence of all four stopper pawns."""
+    holds the squares of an open file, and on boards of height 9 or more it
+    is stopped when it holds all those of a stopped file."""
     h = diag.height
-    wrow = (h - 1) // 2
-    brow = (h + 3) // 2
     comps = []
     run = []
     for f in range(1, diag.width + 1):
-        if diag.cell(f, wrow) == "P" and diag.cell(f, brow) == "p":
-            stopped = (h >= 9
-                       and diag.cell(f, h - 1) == "p"
-                       and diag.cell(f, h - 2) == "P"
-                       and diag.cell(f, 3) == "p"
-                       and diag.cell(f, 2) == "P")
-            run.append(1 if stopped else 0)
+        if all(diag.cell(f, row) == piece
+               for row, piece in _file_squares(0, h)):
+            run.append(int(h >= 9 and all(
+                diag.cell(f, row) == piece
+                for row, piece in _file_squares(1, h))))
         elif run:
             comps.append(Word(run))
             run = []

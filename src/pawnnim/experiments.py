@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .grundy import PeriodicTable, PeriodReport, detect_period
-from .words import PeriodicPattern, Word, count_words
+from .words import PeriodicPattern, Word, count_words, require_valid
 
 MAX_SCAN_LENGTH = 60  # value bitmasks live in uint64
 
@@ -343,6 +343,7 @@ class ScanTables:
         return Word(flags)
 
     def rank(self, word: Word) -> int:
+        require_valid(word)
         r = 0
         n = len(word)
         for i, flag in enumerate(word):

@@ -104,7 +104,7 @@ class GrundyTable:
 
 def epsilon(word: "Word | str", table: Optional[GrundyTable] = None) -> int:
     """Nim value of the component ``word`` (empty word counts 0)."""
-    w = word if isinstance(word, Word) else Word(word)
+    w = Word(word)
     if table is None:
         table = GrundyTable()
     return table.epsilon(w)

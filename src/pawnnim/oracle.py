@@ -94,8 +94,7 @@ def initial_position(components: Iterable["Word | str"],
     """Components side by side, one empty file between consecutive ones;
     each component file holds a White pawn on row 1 and a Black pawn on
     row 3, and stopped files come from the word flags."""
-    comps = [require_valid(c if isinstance(c, Word) else Word(c))
-             for c in components]
+    comps = [require_valid(Word(c)) for c in components]
     width = sum(len(c) for c in comps) + max(0, len(comps) - 1)
     white = black = 0
     stopped = set()
@@ -361,7 +360,7 @@ def outcome(pos: BoardPosition, heap: int = 0) -> bool:
 def oracle_epsilon(word: "Word | str", max_heap: int = 3) -> int:
     """The unique heap size j <= max_heap whose sum with [word] is a loss
     for the side to move; by Nim equivalence this is the component value."""
-    w = word if isinstance(word, Word) else Word(word)
+    w = Word(word)
     pos = initial_position([w])
     losses = [j for j in range(max_heap + 1)
               if not Solver().wins(pos, j)]
@@ -376,7 +375,7 @@ def oracle_is_loony(word: "Word | str", k: int, max_heap: int = 3) -> bool:
     """Necessary-condition loony test: the move at file k loses no matter
     which heap j <= max_heap accompanies the component.  Checks finitely
     many contexts only."""
-    w = word if isinstance(word, Word) else Word(word)
+    w = Word(word)
     if not 0 <= k < len(w):
         raise IndexError("file index out of range")
     pos = initial_position([w])
@@ -394,7 +393,7 @@ def solve_word(word: "Word | str",
     opponent against every j <= max_heap.  The advances are children of
     the root, so their searches share the root's memo.  The default bound
     of 5 covers every value up to 10 files: *5 first appears at 11."""
-    w = word if isinstance(word, Word) else Word(word)
+    w = Word(word)
     pos = initial_position([w])
     solver = Solver()
     losses = [j for j in range(max_heap + 1) if not solver.wins(pos, j)]

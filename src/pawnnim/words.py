@@ -75,7 +75,7 @@ class Word:
             b >>= 1
 
     def __add__(self, other: "Word | str") -> "Word":
-        other = other if isinstance(other, Word) else Word(other)
+        other = Word(other)
         return Word.from_bits(self.bits | (other.bits << self.length),
                               self.length + other.length)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -246,10 +247,34 @@ def test_embed_command(capsys):
 
 
 def test_embed_fen(capsys):
-    code, out, _ = run(capsys, "embed", "--words", "00000", "--format",
-                       "fen")
+    code, out, _ = run(capsys, "embed", "--words", "00000", "--width", "12",
+                       "--format", "fen")
     assert code == 0
     assert out.startswith("11k/")
+
+
+def test_embed_default_width(capsys):
+    for words, width in (("1000,01", 13), ("00000", 11)):
+        code, out, _ = run(capsys, "embed", "--words", words)
+        assert code == 0
+        rows = out.splitlines()
+        assert len(rows) == 9
+        assert {len(row) for row in rows} == {width}
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    # every command of README's "Command line" block exits 0
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("## Command line\n\n```sh\n")[1]
+    block = block.split("```")[0].replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in
+                block.splitlines()]
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "pawnnim"
+        assert run(capsys, *argv[1:])[0] == 0, argv
 
 
 def test_embed_dimension_usage_error(capsys):

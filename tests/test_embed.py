@@ -77,16 +77,30 @@ def test_render_parse_round_trip():
     diag = embed(["1000", "0"], 9, 12)
     for fmt in ("ascii", "fen"):
         assert parse_render(render(diag, fmt), fmt).rows == diag.rows
+    # runs of ten or more empty squares
+    wide = embed(["0", "1010", "0"], 9, 30)
+    assert render(wide, "fen").startswith("29k/")
+    for fmt in ("ascii", "fen"):
+        assert parse_render(render(wide, fmt), fmt).rows == wide.rows
     with pytest.raises(ValueError):
         render(diag, "png")
 
 
 def test_extraction_is_identity():
     cases = [["00000"], ["1000"], ["1000", "0"], ["010", "00100"],
-             ["0", "0", "0"]]
+             ["0", "0", "0"], ["1000", "01"], ["010", "00100", "1"]]
     for comps in cases:
-        diag = embed(comps, 9, 20)
-        assert extract_components(diag) == [Word(c) for c in comps]
+        for width in (20, None):
+            diag = embed(comps, 9, width)
+            assert extract_components(diag) == [Word(c) for c in comps]
+
+
+def test_default_width_is_the_narrowest_that_fits():
+    for comps, width in ((["00000"], 11), (["1000", "01"], 13),
+                         (["1000", "0"], 10), (["0", "0", "0"], 9)):
+        assert embed(comps, 9).width == width
+        with pytest.raises(EmbedError):
+            embed(comps, 9, width - 1)
 
 
 def test_extraction_identity_other_heights():

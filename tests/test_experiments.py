@@ -14,7 +14,7 @@ from pawnnim.experiments import (ScanTables, write_report as _write,
                                  power_milestones, two_sig_figs,
                                  value_distribution)
 from pawnnim.grundy import GrundyTable, epsilon
-from pawnnim.words import PeriodicPattern, count_words, enumerate_words
+from pawnnim.words import PeriodicPattern, Word, count_words, enumerate_words
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +286,13 @@ def test_unrank_refuses_ranks_outside_the_length(tables):
     for m, rank in ((3, 100), (3, 5), (3, -1), (0, 1), (-1, 0)):
         with pytest.raises(ValueError):
             tables.unrank(m, rank)
+
+
+def test_rank_refuses_invalid_words(tables):
+    # 011 would otherwise rank as 100, and 11 past the end of length 2
+    for word in ("011", "11"):
+        with pytest.raises(ValueError, match="invalid word"):
+            tables.rank(Word(word))
 
 
 def test_first_occurrence_small(tables):
