@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated component words")
     p.add_argument("--height", type=int, default=9)
     p.add_argument("--width", type=int,
-                   help="board files (default: the narrowest that fits)")
+                   help="board files (default: from the components)")
     p.add_argument("--format", choices=["ascii", "fen"], default="ascii")
     p.add_argument("--output", default="-", metavar="PATH",
                    help="output file, '-' for standard output")

@@ -8,8 +8,9 @@ so that whoever loses the pawn fight must self-destruct in the Zugzwang.
 A trailing one-file component (the attached *1 heap of the illustrative
 positions) sits in the spare file between the Zugzwang and the corner
 locks; everything else fills from the left with one empty separator file
-between components.  Unless a width is given, the board is the narrowest
-that holds the left-filled components, their separators and the frame.
+between components.  Unless a width is given, the board holds the
+left-filled components, their separators, one empty file before the frame,
+and the frame.
 
 The frame template is exact for height 9; other odd heights are emitted
 best effort with a warning, since only the 9-row arrangement has a fully
@@ -94,9 +95,10 @@ def _file_squares(stopped: int, height: int) -> "list[tuple]":
 def embed(components, height: int, width: int | None = None) -> ChessDiagram:
     """Realize the component list on a height x width board.
 
-    Without a width, the board is the narrowest that holds the components
-    filled from the left, their separator files and the six frame files.
-    Raises EmbedError when a given width cannot hold them.
+    Without a width, the board holds the components filled from the left,
+    their separator files, one empty file so that no component pawn meets
+    the Zugzwang's, and the six frame files.  Raises EmbedError when a
+    given width cannot hold the components and the frame.
     """
     comps = [Word(c) for c in components]
     for c in comps:
@@ -112,7 +114,7 @@ def embed(components, height: int, width: int | None = None) -> ChessDiagram:
     left = comps[:-1] if len(comps) >= 2 and len(comps[-1]) == 1 else comps
     left_width = sum(len(c) for c in left) + max(0, len(left) - 1)
     if width is None:
-        width = left_width + 6
+        width = left_width + 7
     elif left_width > width - 6:
         raise EmbedError(
             f"width {width} too small: components need {left_width} files "
@@ -192,14 +194,13 @@ def extract_components(diag: ChessDiagram) -> "list[Word]":
     holds the squares of an open file, and on boards of height 9 or more it
     is stopped when it holds all those of a stopped file."""
     h = diag.height
+    open_sq, stopped_sq = _file_squares(0, h), _file_squares(1, h)[2:]
     comps = []
     run = []
     for f in range(1, diag.width + 1):
-        if all(diag.cell(f, row) == piece
-               for row, piece in _file_squares(0, h)):
+        if all(diag.cell(f, row) == piece for row, piece in open_sq):
             run.append(int(h >= 9 and all(
-                diag.cell(f, row) == piece
-                for row, piece in _file_squares(1, h))))
+                diag.cell(f, row) == piece for row, piece in stopped_sq)))
         elif run:
             comps.append(Word(run))
             run = []

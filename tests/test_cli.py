@@ -247,14 +247,14 @@ def test_embed_command(capsys):
 
 
 def test_embed_fen(capsys):
-    code, out, _ = run(capsys, "embed", "--words", "00000", "--width", "12",
-                       "--format", "fen")
+    code, out, _ = run(capsys, "embed", "--words", "00000", "--format",
+                       "fen")
     assert code == 0
     assert out.startswith("11k/")
 
 
 def test_embed_default_width(capsys):
-    for words, width in (("1000,01", 13), ("00000", 11)):
+    for words, width in (("1000,01", 14), ("00000", 12)):
         code, out, _ = run(capsys, "embed", "--words", words)
         assert code == 0
         rows = out.splitlines()

@@ -95,12 +95,15 @@ def test_extraction_is_identity():
             assert extract_components(diag) == [Word(c) for c in comps]
 
 
-def test_default_width_is_the_narrowest_that_fits():
-    for comps, width in ((["00000"], 11), (["1000", "01"], 13),
-                         (["1000", "0"], 10), (["0", "0", "0"], 9)):
-        assert embed(comps, 9).width == width
-        with pytest.raises(EmbedError):
-            embed(comps, 9, width - 1)
+def test_default_width_leaves_the_zugzwang_neighbour_empty():
+    # one empty file between the last left component and the Zugzwang
+    # file n - 5, so no component pawn can capture a frame pawn
+    for comps, width in ((["00000"], 12), (["1000", "01"], 14),
+                         (["1000", "0"], 11), (["0", "0", "0"], 10)):
+        diag = embed(comps, 9)
+        assert diag.width == width
+        assert all(diag.cell(width - 6, row) == "." for row in range(1, 10))
+        assert diag.cell(width - 7, 4) == "P"
 
 
 def test_extraction_identity_other_heights():
