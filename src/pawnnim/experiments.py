@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import mmap
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from queue import SimpleQueue
 from typing import Optional
@@ -26,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .grundy import PeriodicTable, PeriodReport, detect_period
+from .grundy import PeriodicTable, PeriodReport, _mex, detect_period
 from .words import PeriodicPattern, Word, count_words, require_valid
 
 MAX_SCAN_LENGTH = 60  # value bitmasks live in uint64
@@ -72,20 +71,14 @@ def _mask_dtype(top: int):
     """Move-mask dtype for a tier whose pieces have values up to ``top``.
 
     A class is the XOR of two such values, so it is below 2^b for b the
-    bit length of ``top``; the mask needs a bit for each class and one more
-    for the mex.  Values never exceed the length, at most 60, so uint64
-    always holds."""
+    bit length of ``top``, and the mex is 2^b when every such class is
+    present: uint16 holds bit 8 and uint32 bit 16.  Above that the mask is
+    uint64, whose 64 bits can hold classes up to 63 but no mex bit beyond
+    them.  None is needed: the mex is at most the number of moves, m <= 60,
+    so m moves never set all 64 bits and ``mask + 1`` never wraps."""
     classes = 1 << top.bit_length()
     return (np.uint16 if classes < 16 else np.uint32 if classes < 32
             else np.uint64)
-
-
-def _mex(mask: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
-    """Write the lowest unset bit of each move mask to ``out``; ``mask`` is
-    overwritten and ``tmp`` is scratch of its dtype and length."""
-    np.add(mask, 1, out=tmp)
-    np.bitwise_and(np.invert(mask, out=mask), tmp, out=mask)
-    np.log2(mask, out=out, casting="unsafe")
 
 
 def _mapped(size: int, dtypes) -> list:
@@ -260,6 +253,8 @@ class ScanTables:
             for block in blocks:
                 fn(block)
             return
+        # imported here: it loads logging, which one-worker runs never need
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             list(pool.map(fn, blocks))
 

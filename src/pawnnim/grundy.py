@@ -27,6 +27,14 @@ def mex(values) -> int:
     return m
 
 
+def _mex(mask: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
+    """Write the lowest unset bit of each move mask to ``out``; ``mask`` is
+    overwritten and ``tmp`` is scratch of its dtype and length."""
+    np.add(mask, 1, out=tmp)
+    np.bitwise_and(np.invert(mask, out=mask), tmp, out=mask)
+    np.log2(mask, out=out, casting="unsafe")
+
+
 class GrundyTable:
     """Values and move classes of single words, read from phase tables.
 
@@ -168,6 +176,19 @@ class PeriodicTable:
     (``_SIDE_R`` in R, ``_SIDE_F`` in F) if the tail's first file is open.
     A class that is not loony is that value.  ``CF`` and ``CR`` decode F
     and R by start phase, -1 for loony, and are what ``save`` writes.
+
+    ``top`` is the largest value in E, kept by the fill and set by
+    ``load``; it picks the mex rule of the next length.  While it is below
+    32, every class is the XOR of two values below 32, so below 32 too,
+    and a row's mex is at most 32.  Then each move sets bit ``cls`` of a
+    uint32, where a loony class (at least ``_SIDE_R``) shifts past the 32
+    bits and sets none; the row's OR, widened to uint64 so that a full
+    mask gives 32, has the mex as its lowest unset bit (``_mex``).  uint32
+    and not uint64, because numpy first casts the shift counts to the
+    dtype of the shifted value: at (14, 2000) a uint64 shift and reduce
+    take three times as long.  From the first value of 32 on, each row's
+    classes are scattered into a bool array of L + 2 columns and the mex
+    is its first unset one.
     """
 
     def __init__(self, pattern: PeriodicPattern, max_length: int = 0):
@@ -183,7 +204,7 @@ class PeriodicTable:
         open2 = (~self._flags2).astype(np.int32)
         self._r_loony = _LOONY | _SIDE_R * open2
         self._f_loony = _LOONY | _SIDE_F * open2
-        self.n = 0
+        self.n = self.top = 0
         self.E = np.zeros((p, 1), dtype=np.int32)
         # an empty tail is loony, and its capture leaves nothing, worth 0
         self.R = self._r_loony[p - 1:2 * p - 1, None].copy()
@@ -215,6 +236,7 @@ class PeriodicTable:
         if start <= 1 <= n:
             # a lone file is worth 1, and as a colon tail it is loony
             E[:, 1] = 1
+            self.top = max(self.top, 1)
             R[:, 1] = self._r_loony[:p]
             F[:, n - 1] = self._f_loony[p - 1:2 * p - 1]
             start = 2
@@ -277,15 +299,22 @@ class PeriodicTable:
     def _fill(self, L: int) -> None:
         p = self.p
         E, R, F = self.E, self.R, self.F
-        # mex of each row: L moves leave one of the values 0..L unused, and
-        # no class exceeds L (e1 ^ e2 <= e1 + e2 <= L - 3).  Loony moves
-        # land in the spare last column of their row.
         cls = self._moves(0, p, L)
-        np.minimum(cls, L + 1, out=cls)
-        cls += (L + 2) * self._phases[:, None]  # offset of each row in seen
-        seen = np.zeros((p, L + 2), dtype=bool)
-        seen.ravel()[cls.ravel().astype(np.intp)] = True
-        E[:, L] = seen[:, :L + 1].argmin(axis=1)
+        if self.top < 32:
+            bits = cls.view(np.uint32)
+            np.left_shift(np.uint32(1), bits, out=bits)
+            mask = np.bitwise_or.reduce(bits, axis=1).astype(np.uint64)
+            _mex(mask, np.empty_like(mask), E[:, L])
+        else:
+            # L moves leave one of the values 0..L unused, and no class
+            # exceeds L (e1 ^ e2 <= e1 + e2 <= L - 3).  Loony moves land in
+            # the spare last column of their row.
+            np.minimum(cls, L + 1, out=cls)
+            cls += (L + 2) * self._phases[:, None]  # row offsets in seen
+            seen = np.zeros((p, L + 2), dtype=bool)
+            seen.ravel()[cls.ravel().astype(np.intp)] = True
+            E[:, L] = seen[:, :L + 1].argmin(axis=1)
+        self.top = max(self.top, *E[:, L].tolist())
         # R's tail at start phase q has its colon file at q + L and its
         # first file at q + L - 1; F's tail at end phase e starts at e - L
         # behind the colon file e - L - 1, and its shorter entries share e
@@ -341,7 +370,7 @@ class PeriodicTable:
         cap[:, 1:] = np.roll(E, -1, axis=0)[:, :-1]
         F = np.where(CF < 0, cap | table._f_loony[q], cap)
         table.F = F[(q - l[::-1]) % p, l[::-1]]
-        table.E, table.n = E, n
+        table.E, table.n, table.top = E, n, int(E.max())
         if not (np.array_equal(table.CF, CF) and np.array_equal(table.CR, CR)):
             raise ValueError("a colon class must be -1 or the value of the "
                              "piece its capture leaves")

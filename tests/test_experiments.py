@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from pawnnim.experiments import (ScanTables, write_report as _write,
-                                 _mask_dtype, _mex, first_occurrence,
+                                 _mask_dtype, first_occurrence,
                                  periodic_scan,
                                  power_milestones, two_sig_figs,
                                  value_distribution)
-from pawnnim.grundy import GrundyTable, epsilon
+from pawnnim.grundy import GrundyTable, _mex, epsilon
 from pawnnim.words import PeriodicPattern, Word, count_words, enumerate_words
 
 

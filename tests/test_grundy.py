@@ -230,18 +230,51 @@ def _assert_same_table(got, fresh, n):
 def test_periodic_table_extend_matches_fresh(pattern, tmp_path):
     # F is copied into the right-hand columns whenever the table grows, and
     # load encodes R and F from E and the signs of CF and CR; growing in
-    # steps, or from a loaded table, must match a one-shot fill
-    fresh = PeriodicTable(pattern, 200)
+    # steps, or from a loaded table, must match a one-shot fill.  p6 first
+    # reaches *32 at length 202, where the fill leaves the bitmask mex, so
+    # the save at 210 needs the loaded table to know its largest value
+    fresh = PeriodicTable(pattern, 260)
     grown = PeriodicTable(pattern)
-    for n in (0, 1, 2, 3, 37, 200):
+    for n in (0, 1, 2, 3, 37, 201, 202, 260):
         grown.extend(n)
         _assert_same_table(grown, fresh, n)
     path = tmp_path / "table.npz"
-    PeriodicTable(pattern, 37).save(path)
+    PeriodicTable(pattern, 210).save(path)
     back = PeriodicTable.load(path)
-    _assert_same_table(back, fresh, 37)
-    back.extend(200)
-    _assert_same_table(back, fresh, 200)
+    _assert_same_table(back, fresh, 210)
+    back.extend(260)
+    _assert_same_table(back, fresh, 260)
+
+
+_P6 = PeriodicPattern(6, frozenset({4}))
+
+
+@pytest.mark.parametrize("pattern", [
+    _P6, PeriodicPattern(14, frozenset({0, 5}))], ids=["p6", "p14"])
+def test_periodic_table_top_is_recorded(pattern, tmp_path):
+    # top picks the mex rule of the next length: the bitmask while every
+    # value is below 32, the scatter from p6's first *32 at length 202 on;
+    # the mod-14 family stays below 32
+    fresh = PeriodicTable(pattern, 260)
+    assert (fresh.top >= 32) == (pattern == _P6)
+    stepped = PeriodicTable(pattern)
+    for n in (1, 2, 201, 202, 203, 260):
+        stepped.extend(n)
+        assert stepped.top == int(stepped.E.max()), n
+    path = tmp_path / "table.npz"
+    PeriodicTable(pattern, 210).save(path)
+    for table in (fresh, PeriodicTable.load(path)):
+        assert table.top == int(table.E.max())
+
+
+def test_single_words_across_the_mex_switch():
+    # one GrundyTable grows one shared period-6 table a length at a time,
+    # through the first *32 at length 202
+    vals = PeriodicTable(_P6, 215).values()
+    assert vals[202] == 32 and vals[:202].max() < 32
+    table = GrundyTable()
+    got = [table.epsilon(word_from_pattern(_P6, n)) for n in range(195, 216)]
+    assert got == vals[195:].tolist()
 
 
 def test_detect_period_plain():
