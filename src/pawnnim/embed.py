@@ -1,10 +1,11 @@
 """King-and-pawn diagrams on h x n boards realizing lists of components.
 
 Each component file carries a White pawn just below the middle rank and a
-Black pawn just above it; a stopped file adds four immobile stopper pawns
-near the board edges.  The right side of the board holds a fixed frame: a
-two-file mutual Zugzwang followed by two corner King-and-three-pawn locks,
-so that whoever loses the pawn fight must self-destruct in the Zugzwang.
+Black pawn just above it; a stopped file adds four immobile stopper pawns,
+a pair directly beyond each side's far row.  The right side of the board
+holds a fixed frame: a two-file mutual Zugzwang followed by two corner
+King-and-three-pawn locks, so that whoever loses the pawn fight must
+self-destruct in the Zugzwang.
 A trailing one-file component (the attached *1 heap of the illustrative
 positions) sits in the spare file between the Zugzwang and the corner
 locks; everything else fills from the left with one empty separator file
@@ -84,11 +85,14 @@ def _require_odd_height(height: int, any_stopped: bool) -> None:
 
 def _file_squares(stopped: int, height: int) -> "list[tuple]":
     """(row, piece) squares of one component file: a White pawn just below
-    the middle rank and a Black pawn just above it, and on a stopped file
-    Black-over-White stopper pairs near each edge."""
+    the middle rank and a Black pawn just above it.  A stopped file adds a
+    Black-over-White stopper pair directly beyond each far row, (h + 3)/2
+    for White and (h - 1)/2 for Black, so that a pawn which reaches its
+    far row is blocked there at every height."""
     squares = [((height - 1) // 2, "P"), ((height + 3) // 2, "p")]
     if stopped:
-        squares += [(height - 1, "p"), (height - 2, "P"), (3, "p"), (2, "P")]
+        squares += [((height + 7) // 2, "p"), ((height + 5) // 2, "P"),
+                    ((height - 3) // 2, "p"), ((height - 5) // 2, "P")]
     return squares
 
 

@@ -94,11 +94,12 @@ def _mapped(size: int, dtypes) -> list:
 class ScanTables:
     """Per-length value and colon tables over all valid words.
 
-    EPS[m][r] is the value of the rank-r word of length m.  CL[m], uint8
-    with C[m + 1] entries, serves the colon words u of length m + 1: the
-    colon file u[0] and a tail u[1:] of length m.  It is indexed by the
-    rank of u, which is ``c * C[m] + r`` for a colon file that is stopped
-    (c = 1) or open (c = 0) and a tail of rank r.  Each byte holds
+    ``values(m)[r]`` is the value of the rank-r word of length m.
+    CL[m], uint8 with C[m + 1] entries, serves the colon words u of length
+    m + 1: the colon file u[0] and a tail u[1:] of length m.  It is
+    indexed by the rank of u, which is ``c * C[m] + r`` for a colon file
+    that is stopped (c = 1) or open (c = 0) and a tail of rank r.  Each
+    byte holds
 
     - bits 0-5: the value of u[2:], the piece a capture leaves; values are
       at most the length, so below 64;
@@ -114,9 +115,19 @@ class ScanTables:
     is CL[k] at the rank of reversed w[:k+1], whose piece is the reverse of
     w[:k-1] and has its value.  The class is ``(l & 127) ^ r2``, for r2 the
     byte r with bit 7 cleared unless bit 6 is set; it is 64 or more when a
-    side is loony.  The tables take 1 + C[m + 1] / C[m], about 2.6 bytes
-    per word.  The colon entries of ``PeriodicTable`` carry the same
+    side is loony.  The colon entries of ``PeriodicTable`` carry the same
     information, in int32 with the loony and side bits above the value.
+
+    The colon byte of the word 0 + w holds the value of w in bits 0-5, so
+    the values of length m are ``CL[m + 1][:C[m]] & 63``.  After a build
+    to length M, the int8 array EPS[m] holds the values of length m only
+    for the top two lengths, M - 1 and M; every lower slot is a
+    zero-length int8 array, so that EPS keeps one slot per length.
+    ``values`` reads either.  CL[M] is built at the start of tier M + 1,
+    the first that reads it, and EPS[M - 1] is dropped then.  So the
+    tables hold C[1] + ... + C[M] colon bytes and C[M - 1] + C[M] value
+    bytes, about 4.2 bytes per word of length M; every value and colon
+    tier up to M would take 6.9.
 
     A tier is filled in blocks: the words that share their first j files,
     for the least j that keeps every block within ``chunk_size`` words.
@@ -166,23 +177,42 @@ class ScanTables:
         for m in range(self.max_length + 1, max_m + 1):
             self._tier(m)
 
+    def values(self, m: int, lo: int = 0, hi: Optional[int] = None
+               ) -> np.ndarray:
+        """Values of the length-m words of ranks lo..hi - 1 (to the end of
+        the tier by default), as int8: a view of ``EPS[m]`` while it is
+        held, else decoded from the low six bits of ``CL[m + 1]``."""
+        if not 0 <= m <= self.max_length:
+            raise ValueError(f"length {m} is outside the tables' 0.."
+                             f"{self.max_length}")
+        hi = self.C[m] if hi is None else min(hi, self.C[m])
+        if self.EPS[m].size:
+            return self.EPS[m][lo:hi]
+        return np.bitwise_and(self.CL[m + 1][lo:hi], 63).view(np.int8)
+
     def _tier(self, m: int) -> None:
-        n_words = self._count(m)
-        eps = np.empty(n_words, dtype=np.int8)
-        cl = np.empty(self._count(m + 1), dtype=np.uint8)
+        if len(self.CL) < m:  # else a failed try at tier m built it
+            self._colon_tier(m - 1)
+        eps = np.empty(self._count(m), dtype=np.int8)
         if m == 1:
             eps[:] = 1
+        else:
+            self._eps_blocks(m, self._blocks(m), eps)
+        self.EPS.append(eps)
+        self.top.append(int(eps.max()))
+
+    def _colon_tier(self, m: int) -> None:
+        """Append CL[m], then drop EPS[m - 1], whose values it holds."""
+        cl = np.empty(self._count(m + 1), dtype=np.uint8)
+        if m == 1:
             # 00, 01 and 10 are loony and leave an empty piece; 01 has a
             # stopped u[1]
             cl[:] = (192, 128, 192)
         else:
-            blocks = self._blocks(m)
-            self._eps_blocks(m, blocks, eps)
-            self._run_blocks(blocks, lambda block: self._cl_block(
+            self._run_blocks(self._blocks(m), lambda block: self._cl_block(
                 m, block[1], block[1] + block[2], cl))
-        self.EPS.append(eps)
         self.CL.append(cl)
-        self.top.append(int(eps.max()))
+        self.EPS[m - 1] = np.empty(0, dtype=np.int8)
 
     def _blocks(self, m: int) -> list:
         """(prefix, first rank, word count) of each block of tier m, in
@@ -347,12 +377,13 @@ class ScanTables:
         return r
 
 
-def _chunks(eps: np.ndarray, size: int):
-    """(first rank, values) of each ``size``-word slice of a tier.  The
-    readers below walk a tier this way so that the temporaries they make
-    are of chunk size, not a byte or more per word of the tier."""
-    for lo in range(0, eps.size, size):
-        yield lo, eps[lo:lo + size]
+def _chunks(tables: ScanTables, m: int):
+    """(first rank, values) of each ``chunk_size``-word slice of tier m.
+    The readers below walk a tier this way so that the temporaries they
+    make, a decoded tier's values among them, are of chunk size, not a
+    byte or more per word of the tier."""
+    for lo in range(0, tables.C[m], tables.chunk_size):
+        yield lo, tables.values(m, lo, lo + tables.chunk_size)
 
 
 def first_occurrence(max_k: int, max_m: int,
@@ -365,7 +396,7 @@ def first_occurrence(max_k: int, max_m: int,
         if not missing:
             break
         tables.build(m)
-        for lo, eps in _chunks(tables.EPS[m], tables.chunk_size):
+        for lo, eps in _chunks(tables, m):
             for k in missing:
                 hits = np.flatnonzero(eps == k)
                 if hits.size:
@@ -381,7 +412,7 @@ def value_distribution(m: int, tables: ScanTables) -> DistributionRow:
     tables.build(m)
     # bincount widens its input to intp, 8 bytes per word
     counts = np.zeros(tables.top[m] + 1, dtype=np.int64)
-    for _, eps in _chunks(tables.EPS[m], tables.chunk_size):
+    for _, eps in _chunks(tables, m):
         counts += np.bincount(eps, minlength=counts.size)
     return DistributionRow(
         length=m,

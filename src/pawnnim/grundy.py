@@ -425,12 +425,23 @@ def verify_period_window(table: PeriodicTable, preperiod: int,
     to twice (preperiod+period) plus three.  Three is the most files one
     compound move removes (interior exchanges delete three, end exchanges
     two), so agreement on this window forces agreement everywhere above
-    the preperiod."""
+    the preperiod.  The moves also read the colon entries R and F, so they
+    must repeat too, from one length above the window's start: an entry of
+    length l is made from values of length l - 1.  And the period must be
+    a multiple of the pattern's period p, or a shift by it would move a
+    subword's colon file to another phase."""
     hi = 2 * (preperiod + period) + 3
     lo = preperiod + period
     if table.n < hi:
         raise InsufficientTableError(
             f"table filled to {table.n}, need {hi}")
-    E = table.E
-    return bool(np.array_equal(E[:, lo:hi + 1], E[:, lo - period:hi + 1 - period]))
+    if period % table.p:
+        return False
 
+    def repeats(X, start):
+        return np.array_equal(X[:, start:hi + 1],
+                              X[:, start - period:hi + 1 - period])
+
+    # F holds the length axis reversed
+    return (repeats(table.E, lo) and repeats(table.R, lo + 1)
+            and repeats(table.F[:, ::-1], lo + 1))

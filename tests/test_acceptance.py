@@ -107,6 +107,18 @@ def test_a6_first_occurrence():
 
 
 @pytest.mark.slow
+def test_a6_first_occurrence_13_slow():
+    expected = {k: FIRST_OCCURRENCE_LENGTHS[k] for k in range(1, 14)}
+    found = first_occurrence(13, 32, ScanTables())
+    got = dict(sorted(found.lengths.items()))
+    witness = found.witnesses.get(13)
+    ok = (got == expected and witness is not None
+          and epsilon(witness, GrundyTable()) == 13)
+    report("A6-slow", ok, f"least lengths for values 1..13: {got}; "
+                          f"*13 witness {witness}")
+
+
+@pytest.mark.slow
 def test_a7_distribution_row_35():
     row = value_distribution(35, ScanTables())
     got = [two_sig_figs(100.0 * row.counts.get(v, 0) / row.total)

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from pawnnim.embed import (ChessDiagram, EmbedError, FrameTemplateWarning,
@@ -107,12 +109,35 @@ def test_default_width_leaves_the_zugzwang_neighbour_empty():
 
 
 def test_extraction_identity_other_heights():
-    import warnings
     for height in (7, 11):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FrameTemplateWarning)
             diag = embed(["000"], height, 12)
         assert extract_components(diag) == [Word("000")]
+
+
+@pytest.mark.parametrize("height", [9, 11, 13])
+def test_stoppers_sit_beyond_the_far_rows(height):
+    # White's far row is (h + 3)/2 and Black's (h - 1)/2; a pawn that
+    # reaches it on a stopped file is blocked by the stopper next beyond
+    cases = [["1000"], ["1000", "0"], ["010", "00100"], ["1000", "01"],
+             ["0101", "001"], ["10100", "1"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FrameTemplateWarning)
+        for comps in cases:
+            diag = embed(comps, height)
+            assert extract_components(diag) == [Word(c) for c in comps]
+        diag = embed(["10"], height)
+    white_far, black_far = (height + 3) // 2, (height - 1) // 2
+    pawns = {black_far - 2: "P", black_far - 1: "p", black_far: "P",
+             white_far: "p", white_far + 1: "P", white_far + 2: "p"}
+    rows = range(1, height + 1)
+    assert [diag.cell(1, row) for row in rows] == [pawns.get(row, ".")
+                                                   for row in rows]
+    # the open file holds only the component pawns
+    assert [diag.cell(2, row) for row in rows] == [
+        pawns.get(row, ".") if row in (black_far, white_far) else "."
+        for row in rows]
 
 
 def test_dimension_errors():

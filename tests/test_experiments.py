@@ -24,11 +24,22 @@ def tables():
     return st
 
 
+def _assert_same_tables(st, ref, *where):
+    """Every length's values, read through ``values``, and every colon
+    tier of two tables are equal."""
+    assert st.max_length == ref.max_length and len(st.CL) == len(ref.CL)
+    for m in range(st.max_length + 1):
+        assert np.array_equal(st.values(m), ref.values(m)), (*where, m)
+    for m, (cl, ref_cl) in enumerate(zip(st.CL, ref.CL)):
+        assert np.array_equal(cl, ref_cl), (*where, m)
+
+
 def test_scan_matches_direct_evaluation(tables):
     table = GrundyTable()
     for m in range(1, 12):
+        values = tables.values(m)
         for rank, w in enumerate(enumerate_words(m)):
-            assert tables.EPS[m][rank] == epsilon(w, table), str(w)
+            assert values[rank] == epsilon(w, table), str(w)
 
 
 def test_rank_unrank_round_trip(tables):
@@ -43,9 +54,7 @@ def test_chunked_equals_unchunked():
     big = ScanTables(chunk_size=1 << 22)
     small.build(9)
     big.build(9)
-    for m in range(len(small.EPS)):
-        assert np.array_equal(small.EPS[m], big.EPS[m])
-        assert np.array_equal(small.CL[m], big.CL[m])
+    _assert_same_tables(small, big)
 
 
 def test_workers_deterministic():
@@ -53,9 +62,7 @@ def test_workers_deterministic():
     par = ScanTables(chunk_size=1 << 6, workers=4)
     seq.build(10)
     par.build(10)
-    for m in range(len(seq.EPS)):
-        assert np.array_equal(seq.EPS[m], par.EPS[m])
-        assert np.array_equal(seq.CL[m], par.CL[m])
+    _assert_same_tables(seq, par)
 
 
 def test_blocks_share_a_prefix():
@@ -84,9 +91,7 @@ def test_one_and_two_word_blocks(workers):
     for chunk_size in (1, 2, 3):
         st = ScanTables(chunk_size=chunk_size, workers=workers)
         st.build(14)
-        for m in range(15):
-            assert np.array_equal(st.EPS[m], ref.EPS[m]), (chunk_size, m)
-            assert np.array_equal(st.CL[m], ref.CL[m]), (chunk_size, m)
+        _assert_same_tables(st, ref, chunk_size)
 
 
 def test_scratch_sets_are_not_shared_between_threads():
@@ -105,9 +110,7 @@ def test_scratch_sets_are_not_shared_between_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not build.is_alive() and st.max_length == 16
-    for m in range(17):
-        assert np.array_equal(st.EPS[m], ref.EPS[m]), m
-        assert np.array_equal(st.CL[m], ref.CL[m]), m
+    _assert_same_tables(st, ref)
 
 
 def test_a_failing_block_reaches_the_caller():
@@ -135,13 +138,41 @@ def test_a_failing_block_reaches_the_caller():
     thread.join(timeout=60)
     assert not thread.is_alive() and len(errors) == 1
     assert len(st._blocks(10)) > 2 and st.max_length == 9
+    # the failed tier built the colon tier it reads and dropped the values
+    # that tier holds; a second try goes on from there
+    st._eps_block = kernel
+    st.build(12)
+    ref = ScanTables()
+    ref.build(12)
+    _assert_same_tables(st, ref)
+
+
+def test_only_the_top_two_value_tiers_are_held():
+    st = ScanTables(chunk_size=1 << 6)
+    st.build(12)
+    assert len(st.EPS) == 13 and len(st.CL) == 12
+    assert [e.size for e in st.EPS] == [0] * 11 + [count_words(11),
+                                                  count_words(12)]
+    assert all(e.dtype == np.int8 for e in st.EPS)
+    held = [st.values(m).copy() for m in (11, 12)]
+    # the next tier builds CL[12] and drops EPS[11], whose values are the
+    # low six bits of CL[12]'s open colon files
+    st.build(13)
+    assert st.EPS[11].size == 0 and len(st.CL) == 13
+    assert np.array_equal(st.values(11), held[0])
+    assert np.array_equal(st.values(12), held[1])
+    assert np.array_equal(st.values(11, 100, 200), held[0][100:200])
+    assert st.values(11, 200, 10 ** 6).size == count_words(11) - 200
+    for m in (-1, 14):
+        with pytest.raises(ValueError):
+            st.values(m)
 
 
 def test_tier_maxima_are_recorded():
     # the mask width of a tier comes from these, not from the tables
     st = ScanTables()
     st.build(26)
-    assert st.top == [int(e.max()) for e in st.EPS]
+    assert st.top == [int(st.values(m).max()) for m in range(27)]
 
 
 def test_mask_width_holds_the_mex():
@@ -161,7 +192,8 @@ def test_mask_width_holds_the_mex():
             assert out.tolist() == [1 << b, 0, b, 0], (b, top)
 
 
-# sha256 of the bytes of EPS[m] and of CL[m] in the (2, C[m]) int8 layout
+# sha256 of the bytes of the values of length m (once EPS[m]) and of CL[m]
+# in the (2, C[m]) int8 layout
 # it had before one table per length held both loony bits, for m = 0..26:
 # 0..24 as the rank sweep computed them before it was rewritten for
 # cache-sized chunks, 25 and 26 as the chunked rank sweep computed them
@@ -242,11 +274,13 @@ def _old_colon_layout(cl, n):
 @pytest.mark.parametrize("chunk_size, workers", [(1 << 16, 1), (1000, 2)])
 def test_scan_tables_pinned(chunk_size, workers):
     st = ScanTables(chunk_size=chunk_size, workers=workers)
-    st.build(len(_EPS_SHA256) - 1)
+    # one tier further, which builds the last pinned colon tier
+    st.build(len(_EPS_SHA256))
     for m in range(len(_EPS_SHA256)):
-        assert st.EPS[m].dtype == np.int8 and st.CL[m].dtype == np.uint8
+        values = st.values(m)
+        assert values.dtype == np.int8 and st.CL[m].dtype == np.uint8
         assert st.CL[m].shape == (count_words(m + 1),)
-        assert (hashlib.sha256(st.EPS[m].tobytes()).hexdigest()
+        assert (hashlib.sha256(values.tobytes()).hexdigest()
                 == _EPS_SHA256[m]), m
         old = _old_colon_layout(st.CL[m], count_words(m))
         assert hashlib.sha256(old.tobytes()).hexdigest() == _CL_SHA256[m], m
@@ -257,12 +291,13 @@ def test_scan_colon_table_matches_definition():
     # value of u[2:], loony or not, and bit 6 is set when bit 7 (loony)
     # is and u[1] is open
     st = ScanTables(chunk_size=1 << 6)
-    st.build(14)
+    st.build(15)  # builds CL[14]
+    values = [st.values(m) for m in range(15)]
     for m in range(15):
         for r, byte in enumerate(st.CL[m].tolist()):
             u = st.unrank(m + 1, r)
             piece = u[2:]
-            assert byte & 63 == st.EPS[len(piece)][st.rank(piece)], str(u)
+            assert byte & 63 == values[len(piece)][st.rank(piece)], str(u)
             open_neighbour = len(u) > 1 and u[1] == 0
             assert bool(byte & 64) == bool(byte & 128 and open_neighbour), \
                 str(u)

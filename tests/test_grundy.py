@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import io
+import random
 
 import numpy as np
 import pytest
@@ -127,14 +128,31 @@ def test_single_words_agree_with_rank_scan(small_words):
     # ScanTables indexes words by rank and shares no code with the phase
     # tables behind GrundyTable, so it is an independent check
     scan = ScanTables()
-    scan.build(14)
+    scan.build(15)  # builds CL[14]
+    values = [scan.values(m) for m in range(15)]
     for w, value, moves, colons in small_words[1]:
         m, rank = len(w), scan.rank(w)
-        assert value == scan.EPS[m][rank], str(w)
+        assert value == values[m][rank], str(w)
         assert mex(moves) == value, str(w)
         for und, cls in colons.items():
             byte = scan.CL[m][und * scan.C[m] + rank]
             assert cls == (-1 if byte & 128 else byte), (und, str(w))
+
+
+def test_random_longer_words_agree_with_rank_scan():
+    # past the exhaustive check above: lengths 15..24 are read back from
+    # the colon bytes, 25 and 26 from the value tiers the scan holds
+    scan = ScanTables()
+    scan.build(26)
+    values = {m: scan.values(m) for m in range(15, 27)}
+    table = GrundyTable()
+    rng = random.Random(20261019)
+    for _ in range(300):
+        flags = []
+        for _ in range(rng.randrange(15, 27)):
+            flags.append(0 if flags and flags[-1] else rng.randrange(2))
+        w = Word(flags)
+        assert table.epsilon(w) == values[len(w)][scan.rank(w)], str(w)
 
 
 def test_padded_tables_are_dropped(small_words):
@@ -301,6 +319,32 @@ def test_verify_period_window_plain():
     assert not verify_period_window(t, 0, 5)
     with pytest.raises(InsufficientTableError):
         verify_period_window(PeriodicTable(pattern, 20), 0, 10)
+
+
+def test_verify_period_window_reads_the_colon_entries():
+    # E repeats on the window (10..23) in each case below, but a colon
+    # entry the moves read does not, so the window proves nothing
+    pattern = PeriodicPattern(1, frozenset())
+    for name, l in (("R", 23), ("R", 11), ("F", 23), ("F", 11)):
+        t = PeriodicTable(pattern, 23)
+        col = l if name == "R" else t.n - l  # F's length axis is reversed
+        getattr(t, name)[0, col] ^= 1
+        assert not verify_period_window(t, 0, 10), (name, l)
+        # an entry of length 0 pairs only with length 10, which is made
+        # from values of length 9, below the window
+        t = PeriodicTable(pattern, 23)
+        getattr(t, name)[0, 0 if name == "R" else t.n] ^= 1
+        assert verify_period_window(t, 0, 10), name
+
+
+def test_verify_period_window_needs_a_multiple_of_the_pattern_period():
+    # every phase of an unstopped pattern holds the same values, which
+    # repeat every 10 files; a shift by 10 moves a subword's colon file to
+    # another phase of a period-3 pattern
+    t = PeriodicTable(PeriodicPattern(3, frozenset()), 63)
+    assert (t.E == t.E[:1]).all()
+    assert not verify_period_window(t, 0, 10)
+    assert verify_period_window(t, 0, 30)
 
 
 def test_periodic_table_save_load(tmp_path):
