@@ -2,44 +2,52 @@
 stopped files: component Nim values, loony move classification, a raw
 game-tree oracle, periodic-family scans and chessboard embeddings."""
 
+import sys
+import types
+
 __version__ = "0.1.0"
 
-from .words import (PeriodicPattern, Word, count_words, enumerate_words,
-                    validate, word_from_pattern)
-from .engine import MoveClass, classify_colon, classify_move
-from .oracle import (BoardPosition, initial_position, legal_moves,
-                     oracle_epsilon, oracle_is_loony, outcome)
-from .embed import ChessDiagram, embed, extract_components, render
-
-# grundy imports numpy, which the oracle, embed and the CLI's light
-# subcommands never need: its names load on first access (PEP 562)
-_GRUNDY = ("GrundyTable", "PeriodicTable", "PeriodReport", "detect_period",
-           "epsilon", "epsilon_plain", "loony_plain", "mex",
-           "verify_period_window")
+# every public name loads its module on first access (PEP 562), so a
+# process imports only what it uses: `pawnnim --version` none of them,
+# the oracle and the embedder not numpy, which grundy imports
+_MODULE_OF = {
+    **dict.fromkeys(("Word", "PeriodicPattern", "validate", "count_words",
+                     "enumerate_words", "word_from_pattern"), "words"),
+    **dict.fromkeys(("MoveClass", "classify_colon", "classify_move"),
+                    "engine"),
+    **dict.fromkeys(("GrundyTable", "epsilon", "epsilon_plain",
+                     "loony_plain", "mex", "PeriodicTable", "PeriodReport",
+                     "detect_period", "verify_period_window"), "grundy"),
+    **dict.fromkeys(("BoardPosition", "initial_position", "legal_moves",
+                     "outcome", "oracle_epsilon", "oracle_is_loony"),
+                    "oracle"),
+    **dict.fromkeys(("ChessDiagram", "embed", "render",
+                     "extract_components"), "embed"),
+}
 
 
 def __getattr__(name: str):
-    if name not in _GRUNDY:
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
-    value = getattr(import_module(".grundy", __name__), name)
+    value = getattr(import_module("." + _MODULE_OF[name], __name__), name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_GRUNDY))
+    return sorted(set(globals()) | set(_MODULE_OF))
 
 
-__all__ = [
-    "__version__",
-    "Word", "PeriodicPattern", "validate", "count_words",
-    "enumerate_words", "word_from_pattern",
-    "MoveClass", "classify_colon", "classify_move",
-    "GrundyTable", "epsilon", "epsilon_plain", "loony_plain", "mex",
-    "PeriodicTable", "PeriodReport",
-    "detect_period", "verify_period_window",
-    "BoardPosition", "initial_position", "legal_moves",
-    "outcome", "oracle_epsilon", "oracle_is_loony",
-    "ChessDiagram", "embed", "render", "extract_components",
-]
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # importing the submodule pawnnim.embed binds it on the package,
+        # where the name embed stands for the function
+        if not (name in _MODULE_OF and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
+
+__all__ = ["__version__", *_MODULE_OF]

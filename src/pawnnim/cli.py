@@ -18,12 +18,10 @@ import os
 import sys
 from contextlib import contextmanager
 
-# grundy and experiments import numpy, so only the handlers that compute
-# with them import them: --version, embed and the oracle's searches never
-# load it
-from . import __version__, engine, oracle, reference
-from .embed import EmbedError, embed as build_diagram, render
-from .words import PeriodicPattern, Word, validate
+# each handler imports the modules it runs, so a process loads only what
+# its subcommand needs: --version no other package module, embed and the
+# oracle's searches not numpy, which grundy and experiments import
+from . import __version__
 
 OK, MISMATCH, USAGE = 0, 1, 2
 
@@ -32,7 +30,8 @@ class UsageError(Exception):
     pass
 
 
-def _parse_word(text: str) -> Word:
+def _parse_word(text: str):
+    from .words import Word, validate
     try:
         w = Word(text)
     except ValueError as exc:
@@ -69,7 +68,7 @@ def _workers(args) -> int:
 
 def cmd_eval(args) -> int:
     word = _parse_word(args.word)
-    from . import grundy
+    from . import engine, grundy
     table = grundy.GrundyTable()
     value = grundy.epsilon(word, table)
     print(f"epsilon({word}) = {value}")
@@ -107,6 +106,7 @@ def cmd_scan(args) -> int:
 
 def cmd_periodic(args) -> int:
     from . import experiments
+    from .words import PeriodicPattern
     if args.max_length < 0:
         raise UsageError("--max-length must be nonnegative")
     try:
@@ -141,14 +141,13 @@ def cmd_oracle(args) -> int:
     word = _parse_word(args.word)
     if args.max_heap < 0:
         raise UsageError("--max-heap must be nonnegative")
+    from . import oracle
     try:
         value = oracle.oracle_epsilon(word, args.max_heap)
-    except oracle.NonUniqueHeapError as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return MISMATCH
-    print(f"oracle epsilon({word}) = {value}")
-    if args.check_loony:
-        from . import grundy
+        print(f"oracle epsilon({word}) = {value}")
+        if not args.check_loony:
+            return OK
+        from . import engine, grundy
         table = grundy.GrundyTable()
         status = OK
         for k in range(len(word)):
@@ -159,10 +158,17 @@ def cmd_oracle(args) -> int:
                 status = MISMATCH
             print(f"file {k + 1}: {'loony' if orc else 'not loony'}{agree}")
         return status
-    return OK
+    except oracle.NonUniqueHeapError as exc:
+        print(f"oracle failure: {exc}", file=sys.stderr)
+        return MISMATCH
+    except oracle.ResourceLimitError as exc:
+        # a search passed the solver's state bound
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return MISMATCH
 
 
 def cmd_tables(args) -> int:
+    from .words import PeriodicPattern
     which = args.which
     workers = _workers(args)
     if which == "thm2":
@@ -174,7 +180,7 @@ def cmd_tables(args) -> int:
                if values[m] != grundy.epsilon_plain(m)]
         return _verdict("thm2", f"recursion vs closed form to m={limit}",
                         not bad)
-    from . import experiments
+    from . import experiments, reference
     if which == "first-occurrence":
         maxk = reference.FIRST_OCCURRENCE_DEFAULT_MAX
         expected = {k: reference.FIRST_OCCURRENCE_LENGTHS[k]
@@ -214,10 +220,21 @@ def _verdict(name: str, detail: str, ok: bool) -> int:
     return OK if ok else MISMATCH
 
 
+def build_diagram(comps, height, width):
+    from .embed import embed
+    return embed(comps, height, width)
+
+
+def render(diag, format):
+    from .embed import render
+    return render(diag, format)
+
+
 def cmd_embed(args) -> int:
     comps = [_parse_word(t) for t in args.words.split(",") if t]
     if not comps:
         raise UsageError("need at least one component word")
+    from .embed import EmbedError
     with _output(args.output) as fh:
         try:
             diag = build_diagram(comps, args.height, args.width)
@@ -324,9 +341,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except oracle.ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return MISMATCH
 
 
 if __name__ == "__main__":

@@ -397,15 +397,17 @@ def detect_period(values, pattern: PeriodicPattern,
     With a phase table the search runs over every start phase at once:
     the recursion for one phase reads the others, so only a simultaneous
     repeat supports the window argument (single rows can settle into a
-    proper divisor of the family period).  Without a table only the given
-    value row is examined, which is an observation, never verified.
+    proper divisor of the family period).  It tries only multiples of the
+    pattern's period p, the periods ``verify_period_window`` can prove.
+    Without a table only the given value row is examined, which is an
+    observation, never verified.
     """
     if table is not None:
-        rows = table.E[:, :table.n + 1]
+        rows, step = table.E[:, :table.n + 1], table.p
     else:
-        rows = np.asarray(values)[None, :]
+        rows, step = np.asarray(values)[None, :], 1
     nmax = rows.shape[1] - 1
-    for P in range(1, nmax // 2 + 1):
+    for P in range(step, nmax // 2 + 1, step):
         eq = (rows[:, P:] == rows[:, :-P]).all(axis=0)
         bad = np.flatnonzero(~eq)
         n0 = 0 if bad.size == 0 else int(bad[-1]) + 1

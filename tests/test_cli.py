@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pawnnim import cli, experiments
+from pawnnim import cli, experiments, oracle
 from pawnnim.cli import main
 
 DIAG_STOPPED_ONLY = """\
@@ -186,9 +186,38 @@ def test_light_subcommands_do_not_import_numpy(argv):
     assert out.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("argv, absent", [
+    (["--version"], ("dataclasses", "numpy")),
+    (["embed", "--words", "1000"],
+     ("pawnnim.oracle", "pawnnim.engine", "pawnnim.grundy",
+      "pawnnim.experiments")),
+    (["oracle", "--word", "10"],
+     ("pawnnim.embed", "pawnnim.engine", "pawnnim.grundy")),
+    (["eval", "0101"],
+     ("pawnnim.oracle", "pawnnim.embed", "pawnnim.experiments")),
+])
+def test_subcommands_import_only_what_they_run(argv, absent):
+    # every module a CLI process loads adds to its start-up time
+    out = _fresh_python("import sys\n"
+                        "from pawnnim.cli import main\n"
+                        "try:\n"
+                        "    main(sys.argv[1:])\n"
+                        "except SystemExit:\n"
+                        "    pass\n"
+                        "print(' '.join(sys.modules))\n", *argv)
+    loaded = set(out.splitlines()[-1].split())
+    if argv == ["--version"]:
+        assert {m for m in loaded if m.startswith("pawnnim")} == {
+            "pawnnim", "pawnnim.cli"}
+    assert loaded.isdisjoint(absent), loaded & set(absent)
+
+
 def test_package_exports_resolve():
-    # grundy's names load on first access, and are still listed
-    out = _fresh_python("import pawnnim\n"
+    # the names load their modules on first access, and are still listed;
+    # the function embed keeps its name when its module is imported first
+    out = _fresh_python("import sys, pawnnim.embed\n"
+                        "from pawnnim import embed\n"
+                        "assert embed is sys.modules['pawnnim.embed'].embed\n"
                         "names = dir(pawnnim)\n"
                         "for name in pawnnim.__all__:\n"
                         "    assert name in names, name\n"
@@ -237,6 +266,17 @@ def test_unwritable_output_usage_error(capsys, monkeypatch, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
+
+
+def test_oracle_resource_limit_exits_one_without_traceback(capsys,
+                                                         monkeypatch):
+    solver = oracle.Solver
+    monkeypatch.setattr(oracle, "Solver",
+                        lambda: solver(max_states=1000))
+    code, out, err = run(capsys, "oracle", "--word", "00100101")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
 def test_embed_command(capsys):

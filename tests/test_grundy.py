@@ -304,6 +304,17 @@ def test_detect_period_plain():
     assert report.window == (10, 23)
 
 
+def test_detect_period_tries_multiples_of_the_pattern_period():
+    # the values of an unstopped pattern written with period 3 repeat
+    # every 10 files, but only a multiple of 3 can be proved
+    pattern = PeriodicPattern(3, frozenset())
+    t = PeriodicTable(pattern, 80)
+    report = detect_period(t.values(), pattern, t)
+    assert (report.preperiod, report.period) == (0, 30)
+    assert report.verified
+    assert report.window == (30, 63)
+
+
 def test_detect_period_constant_and_absent():
     pattern = PeriodicPattern(1, frozenset())
     constant = detect_period(np.zeros(12, dtype=int), pattern)
