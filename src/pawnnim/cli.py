@@ -327,6 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy starts OpenBLAS's thread pool on import, and the program makes
+    # no BLAS call; a count the caller set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

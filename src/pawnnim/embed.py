@@ -6,12 +6,14 @@ a pair directly beyond each side's far row.  The right side of the board
 holds a fixed frame: a two-file mutual Zugzwang followed by two corner
 King-and-three-pawn locks, so that whoever loses the pawn fight must
 self-destruct in the Zugzwang.
-A trailing one-file component (the attached *1 heap of the illustrative
-positions) sits in the spare file between the Zugzwang and the corner
-locks; everything else fills from the left with one empty separator file
-between components.  Unless a width is given, the board holds the
-left-filled components, their separators, one empty file before the frame,
-and the frame.
+A trailing open one-file component (the attached *1 heap of the
+illustrative positions) sits in the spare file between the Zugzwang and
+the corner locks; everything else, a trailing stopped file included,
+fills from the left with one empty separator file between components.
+(The stoppers of a stopped file in the spare file would attack the
+corner-lock pawns beside it.)  Unless a width is given, the board holds
+the left-filled components, their separators, one empty file before the
+frame, and the frame.
 
 The frame template is exact for height 9; other odd heights are emitted
 best effort with a warning, since only the 9-row arrangement has a fully
@@ -114,8 +116,8 @@ def embed(components, height: int, width: int | None = None) -> ChessDiagram:
     any_stopped = any(any(c) for c in comps)
     _require_odd_height(height, any_stopped)
 
-    # a trailing one-file component sits in the frame's spare file
-    left = comps[:-1] if len(comps) >= 2 and len(comps[-1]) == 1 else comps
+    # a trailing open one-file component sits in the frame's spare file
+    left = comps[:-1] if len(comps) >= 2 and comps[-1] == Word("0") else comps
     left_width = sum(len(c) for c in left) + max(0, len(left) - 1)
     if width is None:
         width = left_width + 7

@@ -174,8 +174,8 @@ class PeriodicTable:
     A colon entry holds the value of the piece a capture leaves, below
     2^28; ``_LOONY`` if the colon class is loony, and then a side bit
     (``_SIDE_R`` in R, ``_SIDE_F`` in F) if the tail's first file is open.
-    A class that is not loony is that value.  ``CF`` and ``CR`` decode F
-    and R by start phase, -1 for loony, and are what ``save`` writes.
+    A class that is not loony is that value.  ``save`` writes E alone, and
+    ``CF`` and ``CR`` decode F and R by start phase, -1 for loony.
 
     ``top`` is the largest value in E, kept by the fill and set by
     ``load``; it picks the mex rule of the next length.  While it is below
@@ -226,23 +226,25 @@ class PeriodicTable:
     def extend(self, n: int) -> None:
         if n <= self.n:
             return
+        self._grow(n)
+        for length in range(max(self.n + 1, 2), n + 1):
+            self._fill(length)
+        self.n = n
+
+    def _grow(self, n: int) -> None:
+        """Widen E, R and F to lengths 0..n and seed length 1 if new."""
         p, width = self.p, n + 1
         E, R, F = (np.zeros((p, width), dtype=np.int32) for _ in range(3))
         E[:, :self.n + 1] = self.E
         R[:, :self.n + 1] = self.R
         F[:, width - self.n - 1:] = self.F
         self.E, self.R, self.F = E, R, F
-        start = self.n + 1
-        if start <= 1 <= n:
+        if self.n < 1 <= n:
             # a lone file is worth 1, and as a colon tail it is loony
             E[:, 1] = 1
             self.top = max(self.top, 1)
             R[:, 1] = self._r_loony[:p]
             F[:, n - 1] = self._f_loony[p - 1:2 * p - 1]
-            start = 2
-        for length in range(start, n + 1):
-            self._fill(length)
-        self.n = n
 
     def move_classes(self, phase: Optional[int], L: int) -> np.ndarray:
         """Class of the move at each file of the length-L word starting at
@@ -297,8 +299,7 @@ class PeriodicTable:
         return out
 
     def _fill(self, L: int) -> None:
-        p = self.p
-        E, R, F = self.E, self.R, self.F
+        p, E = self.p, self.E
         cls = self._moves(0, p, L)
         if self.top < 32:
             bits = cls.view(np.uint32)
@@ -315,6 +316,11 @@ class PeriodicTable:
             seen.ravel()[cls.ravel().astype(np.intp)] = True
             E[:, L] = seen[:, :L + 1].argmin(axis=1)
         self.top = max(self.top, *E[:, L].tolist())
+        self._colon(L)
+
+    def _colon(self, L: int) -> None:
+        """Write the colon entries of length L, for a fill or a load."""
+        p, E, R, F = self.p, self.E, self.R, self.F
         # R's tail at start phase q has its colon file at q + L and its
         # first file at q + L - 1; F's tail at end phase e starts at e - L
         # behind the colon file e - L - 1, and its shorter entries share e
@@ -335,45 +341,38 @@ class PeriodicTable:
 
     def save(self, path) -> None:
         np.savez_compressed(
-            path, E=self.E, CF=self.CF, CR=self.CR, n=self.n,
-            period=self.pattern.period,
+            path, E=self.E, n=self.n, period=self.pattern.period,
             stopped=np.array(sorted(self.pattern.stopped), dtype=np.int64),
             file_origin=self.pattern.file_origin)
 
     @classmethod
     def load(cls, path) -> "PeriodicTable":
-        """Read back a table written by ``save``.  Raises ValueError unless
-        E, CF and CR are signed integer arrays of shape (period, n + 1) and
-        each colon class is -1 or the value of the piece a capture leaves:
-        ``CF[q, l]`` is -1 or ``E[(q + 1) % p, l - 1]``, and ``CR[q, l]``
-        is -1 or ``E[q, l - 1]``.  A value ``E[q, l]`` lies in 0..l."""
+        """Read back a table written by ``save``; R and F come from E through
+        the fill's ``_colon``.  Raises ValueError unless the file holds just
+        the fields ``save`` writes, n >= 0, E is a signed integer array of
+        shape (period, n + 1) and E[q, l] lies in 0..l."""
         with np.load(path) as data:
+            fields = ", ".join(sorted(data.files))
+            if fields != "E, file_origin, n, period, stopped":
+                raise ValueError(f"a saved table holds E alone, got {fields}")
             pattern = PeriodicPattern(int(data["period"]),
                                       frozenset(int(r) for r in data["stopped"]),
                                       int(data["file_origin"]))
-            n = int(data["n"])
-            E, CF, CR = data["E"], data["CF"], data["CR"]
+            n, E = int(data["n"]), data["E"]
         if n < 0:
             raise ValueError(f"table length must be nonnegative, got {n}")
         shape = (pattern.period, n + 1)
-        for name, arr in (("E", E), ("CF", CF), ("CR", CR)):
-            if arr.dtype.kind != "i" or arr.shape != shape:
-                raise ValueError(f"{name} must be a signed integer array of "
-                                 f"shape {shape}, got {arr.dtype} {arr.shape}")
-        table = cls(pattern)
-        p, q, l = table.p, table._phases[:, None], np.arange(n + 1)
-        if E.min() < 0 or (E > l).any():
+        if E.dtype.kind != "i" or E.shape != shape:
+            raise ValueError(f"E must be a signed integer array of shape "
+                             f"{shape}, got {E.dtype} {E.shape}")
+        if E.min() < 0 or (E > np.arange(n + 1)).any():
             raise ValueError("E[q, l] must lie in 0..l")
-        cap = np.zeros(shape, dtype=np.int32)  # E one file shorter
-        cap[:, 1:] = E[:, :-1]
-        table.R = np.where(CR < 0, cap | table._r_loony[(q + l - 1) % p], cap)
-        cap[:, 1:] = np.roll(E, -1, axis=0)[:, :-1]
-        F = np.where(CF < 0, cap | table._f_loony[q], cap)
-        table.F = F[(q - l[::-1]) % p, l[::-1]]
-        table.E, table.n, table.top = E, n, int(E.max())
-        if not (np.array_equal(table.CF, CF) and np.array_equal(table.CR, CR)):
-            raise ValueError("a colon class must be -1 or the value of the "
-                             "piece its capture leaves")
+        table = cls(pattern)
+        table._grow(n)
+        table.E[:] = E
+        for length in range(2, n + 1):
+            table._colon(length)
+        table.n, table.top = n, int(E.max())
         return table
 
 

@@ -186,6 +186,21 @@ def test_light_subcommands_do_not_import_numpy(argv):
     assert out.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("preset, expected", [((), "1"), (("3",), "3")])
+def test_main_defaults_openblas_to_one_thread(preset, expected):
+    # numpy's OpenBLAS sizes its thread pool once, on import, so main sets
+    # the count before any handler imports numpy, keeping the caller's
+    out = _fresh_python("import os, sys\n"
+                        "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+                        "if sys.argv[1:]:\n"
+                        "    os.environ['OPENBLAS_NUM_THREADS'] = sys.argv[1]\n"
+                        "from pawnnim.cli import main\n"
+                        "main(['eval', '0101'])\n"
+                        "print(os.environ['OPENBLAS_NUM_THREADS'])\n",
+                        *preset)
+    assert out.splitlines()[-1] == expected
+
+
 @pytest.mark.parametrize("argv, absent", [
     (["--version"], ("dataclasses", "numpy")),
     (["embed", "--words", "1000"],

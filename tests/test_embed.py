@@ -1,10 +1,11 @@
+import itertools
 import warnings
 
 import pytest
 
 from pawnnim.embed import (ChessDiagram, EmbedError, FrameTemplateWarning,
                            embed, extract_components, parse_render, render)
-from pawnnim.words import Word
+from pawnnim.words import Word, enumerate_words
 
 # 9x12 reference diagrams, rows printed top to bottom
 
@@ -138,6 +139,29 @@ def test_stoppers_sit_beyond_the_far_rows(height):
     assert [diag.cell(2, row) for row in rows] == [
         pawns.get(row, ".") if row in (black_far, white_far) else "."
         for row in rows]
+
+
+def _pawn_attacks(diag):
+    """(file, row) of each White pawn that attacks a Black pawn, which
+    stands one row up on a neighbouring file."""
+    rows = diag.rows
+    return [(f + 1, r + 1) for r in range(diag.height - 1)
+            for f in range(diag.width) if rows[r][f] == "P"
+            and "p" in rows[r + 1][max(f - 1, 0):f] + rows[r + 1][f + 1:f + 2]]
+
+
+@pytest.mark.parametrize("height", [9, 11, 13])
+def test_no_pawn_attacks_an_enemy_pawn(height):
+    # in the initial position every pawn is blocked or free to advance,
+    # never en prise: a trailing stopped file such as 00,1 once sat in the
+    # frame's spare file, where its stoppers met the corner-lock pawns
+    words = [w for m in range(1, 5) for w in enumerate_words(m)]
+    assert Word("0") in words and Word("1") in words
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FrameTemplateWarning)
+        for k in (1, 2, 3):
+            for comps in itertools.product(words, repeat=k):
+                assert _pawn_attacks(embed(comps, height)) == [], comps
 
 
 def test_dimension_errors():

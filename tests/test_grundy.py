@@ -231,6 +231,7 @@ def _assert_same_table(got, fresh, n):
                               getattr(fresh, name)[:, :n + 1]), (name, n)
     # F's length axis is reversed, so lengths 0..n are its last columns
     assert np.array_equal(got.F, fresh.F[:, fresh.F.shape[1] - n - 1:]), n
+    assert got.n == n and got.top == int(fresh.E[:, :n + 1].max()), n
     # move_classes reads lengths below L, so a table of length n serves
     # every L up to n + 1
     for L in sorted({0, 1, 2, 3, n // 2, n, n + 1} & set(range(n + 2))):
@@ -247,10 +248,10 @@ def _assert_same_table(got, fresh, n):
 ], ids=["p1", "p6", "p14", "p5-origin3", "padded20"])
 def test_periodic_table_extend_matches_fresh(pattern, tmp_path):
     # F is copied into the right-hand columns whenever the table grows, and
-    # load encodes R and F from E and the signs of CF and CR; growing in
-    # steps, or from a loaded table, must match a one-shot fill.  p6 first
-    # reaches *32 at length 202, where the fill leaves the bitmask mex, so
-    # the save at 210 needs the loaded table to know its largest value
+    # load fills R and F from E alone; growing in steps, or from a loaded
+    # table, must match a one-shot fill.  p6 first reaches *32 at length
+    # 202, where the fill leaves the bitmask mex, so the save at 210 needs
+    # the loaded table to know its largest value
     fresh = PeriodicTable(pattern, 260)
     grown = PeriodicTable(pattern)
     for n in (0, 1, 2, 3, 37, 201, 202, 260):
@@ -363,6 +364,9 @@ def test_periodic_table_save_load(tmp_path):
     t = PeriodicTable(pattern, 40)
     path = tmp_path / "p6.npz"
     t.save(path)
+    with np.load(path) as data:
+        assert sorted(data.files) == ["E", "file_origin", "n", "period",
+                                      "stopped"]
     back = PeriodicTable.load(path)
     assert back.pattern == pattern
     assert back.n == 40
@@ -376,11 +380,22 @@ def test_periodic_table_save_load(tmp_path):
                    if isinstance(a, np.ndarray) and a.ndim == 2) == 12 * 6 * 41
     back.extend(80)
     fresh = PeriodicTable(pattern, 80)
-    # save writes the decoded CF and CR, not the R and F entries the fill
-    # reads, so a loaded table must encode them before it can classify or
-    # extend
-    for name in ("E", "CF", "CR"):
+    # save writes E alone, so a loaded table fills its R and F entries
+    # before it can classify or extend
+    for name in ("E", "R", "F"):
         assert np.array_equal(getattr(back, name), getattr(fresh, name)), name
+
+
+@pytest.mark.slow
+def test_periodic_table_long_save_load(tmp_path):
+    # p6 to 21208, past the first *32 and a hundred times the tier-1 tables
+    t = PeriodicTable(_P6, 21208)
+    path = tmp_path / "p6.npz"
+    t.save(path)
+    back = PeriodicTable.load(path)
+    for name in ("E", "R", "F"):
+        assert np.array_equal(getattr(back, name), getattr(t, name)), name
+    assert back.n == t.n and back.top == t.top
 
 
 @pytest.mark.parametrize("pattern, digest", [
@@ -459,26 +474,48 @@ def _edited(name, index, value):
     return {name: a}
 
 
-@pytest.mark.parametrize("change", [
-    {"E": np.zeros((3, 5), dtype=np.int32),
-     "CF": np.zeros((2, 2), dtype=np.int32)},
-    {"CR": np.zeros((6, 41))},
-    {"n": 50},
-    {"n": -1},
-    # a colon class that is not loony, set to a value other than that of
-    # the piece its capture leaves, which E holds
-    _edited("CF", tuple(np.argwhere(_P6_40.CF > 0)[-1]), 0),
-    # a value above its length, in a column no colon class reads
-    _edited("E", (0, 40), 41),
-])
-def test_periodic_table_load_rejects_tampered_file(tmp_path, change):
-    path = tmp_path / "p6.npz"
+def _saved_with(path, change):
+    """Save ``_P6_40`` to ``path`` with the fields in ``change`` replaced
+    or added."""
     _P6_40.save(path)
     with np.load(path) as data:
         fields = dict(data)
     np.savez(path, **{**fields, **change})
-    with pytest.raises(ValueError):
-        PeriodicTable.load(path)
+    return path
+
+
+_TAMPERED = [
+    ({"E": np.zeros((3, 5), dtype=np.int32)}, "shape"),
+    ({"E": _P6_40.E.astype(np.float64)}, "signed integer"),
+    ({"n": 50}, "shape"),
+    ({"n": -1}, "nonnegative"),
+    # values outside 0..l, the second in a column no colon entry reads
+    (_edited("E", (3, 7), -1), "0..l"),
+    (_edited("E", (0, 40), 41), "0..l"),
+    # a file holds E alone: the colon classes of an older format, or any
+    # other array, are refused
+    ({"CF": _P6_40.CF, "CR": _P6_40.CR}, "got CF, CR, E"),
+    ({"CR": _P6_40.CR}, "got CR, E"),
+    ({"R": _P6_40.R}, "got E, R"),
+]
+
+
+@pytest.mark.parametrize("change, message", _TAMPERED,
+                         ids=[f"change{i}" for i in range(len(_TAMPERED))])
+def test_periodic_table_load_rejects_tampered_file(tmp_path, change, message):
+    with pytest.raises(ValueError, match=message):
+        PeriodicTable.load(_saved_with(tmp_path / "p6.npz", change))
+
+
+def test_periodic_table_load_narrows_int64_values(tmp_path):
+    # a file may hold E as int64; the loaded table keeps int32 arrays,
+    # 12 bytes per cell, as a filled one does
+    back = PeriodicTable.load(_saved_with(tmp_path / "p6.npz",
+                                          {"E": _P6_40.E.astype(np.int64)}))
+    for name in ("E", "R", "F"):
+        assert getattr(back, name).dtype == np.int32, name
+        assert np.array_equal(getattr(back, name), getattr(_P6_40, name)), name
+    assert sum(a.nbytes for a in (back.E, back.R, back.F)) == 12 * 6 * 41
 
 
 def test_periodic_dump_records():
