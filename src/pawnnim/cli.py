@@ -31,16 +31,11 @@ class UsageError(Exception):
 
 
 def _parse_word(text: str):
-    from .words import Word, validate
+    from .words import Word, require_valid
     try:
-        w = Word(text)
+        return require_valid(Word(text))
     except ValueError as exc:
         raise UsageError(str(exc))
-    if not w.is_valid:
-        raise UsageError(
-            f"invalid word {text!r}: adjacent stopped files at index "
-            f"{validate(w)}")
-    return w
 
 
 @contextmanager
@@ -234,12 +229,15 @@ def cmd_embed(args) -> int:
     comps = [_parse_word(t) for t in args.words.split(",") if t]
     if not comps:
         raise UsageError("need at least one component word")
-    from .embed import EmbedError
+    from .embed import EmbedError, layout
+    # checked before the output is opened, so a usage error leaves an
+    # existing file as it was
+    try:
+        layout(comps, args.height, args.width)
+    except EmbedError as exc:
+        raise UsageError(str(exc))
     with _output(args.output) as fh:
-        try:
-            diag = build_diagram(comps, args.height, args.width)
-        except EmbedError as exc:
-            raise UsageError(str(exc))
+        diag = build_diagram(comps, args.height, args.width)
         fh.write(render(diag, args.format) + "\n")
     return OK
 

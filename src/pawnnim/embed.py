@@ -26,7 +26,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
-from .words import Word, validate
+from .words import Word, require_valid
 
 PIECES = ".PpKk"
 
@@ -98,19 +98,22 @@ def _file_squares(stopped: int, height: int) -> "list[tuple]":
     return squares
 
 
-def embed(components, height: int, width: int | None = None) -> ChessDiagram:
-    """Realize the component list on a height x width board.
+def layout(components, height: int, width: int | None = None):
+    """(components, those filled from the left, board width) of the board
+    ``embed`` draws.
 
-    Without a width, the board holds the components filled from the left,
-    their separator files, one empty file so that no component pawn meets
-    the Zugzwang's, and the six frame files.  Raises EmbedError when a
-    given width cannot hold the components and the frame.
+    Without a width, the board holds the left components, their separator
+    files, one empty file so that no component pawn meets the Zugzwang's,
+    and the six frame files.  Raises EmbedError for an invalid or empty
+    component, a height the components cannot use, or a given width that
+    cannot hold the components and the frame.
     """
     comps = [Word(c) for c in components]
     for c in comps:
-        if not c.is_valid:
-            raise EmbedError("invalid word: adjacent stopped files at index "
-                             f"{validate(c)}")
+        try:
+            require_valid(c)
+        except ValueError as exc:
+            raise EmbedError(str(exc)) from None
         if len(c) == 0:
             raise EmbedError("empty component")
     any_stopped = any(any(c) for c in comps)
@@ -125,7 +128,13 @@ def embed(components, height: int, width: int | None = None) -> ChessDiagram:
         raise EmbedError(
             f"width {width} too small: components need {left_width} files "
             f"plus the 6 frame files")
+    return comps, left, width
 
+
+def embed(components, height: int, width: int | None = None) -> ChessDiagram:
+    """Realize the component list on a height x width board laid out by
+    ``layout``, which raises EmbedError for a request it cannot draw."""
+    comps, left, width = layout(components, height, width)
     diag = ChessDiagram(height, width)
 
     def place_component(comp: Word, file0: int) -> None:

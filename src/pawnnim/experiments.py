@@ -19,14 +19,14 @@ from __future__ import annotations
 import json
 import mmap
 from dataclasses import dataclass, field
-from queue import SimpleQueue
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .grundy import PeriodicTable, PeriodReport, _mex, detect_period
-from .words import PeriodicPattern, Word, count_words, require_valid
+from .words import (PeriodicPattern, Word, count_words, enumerate_words,
+                    require_valid)
 
 MAX_SCAN_LENGTH = 60  # value bitmasks live in uint64
 
@@ -141,11 +141,15 @@ class ScanTables:
     reversed w[:k+1], and a block's move at k gathers only CL[k][rho +
     step].  That takes a byte and a step, int32 through length 44, per
     suffix file and rank: 3.0 MB at the default 2^15, where blocks hold at
-    most 28,657 words of 21 suffix files.  A worker's scratch holds the
-    move mask, its temporary and a uint8 array, 5 to 17 bytes per rank;
-    the mask is uint16, uint32 or uint64, the narrowest that holds every
-    class of the tier (``_mask_dtype``).  Blocks are independent, so
-    worker threads and sequential runs produce identical tables.
+    most 28,657 words of 21 suffix files.  With w workers, worker i fills
+    blocks i, i + w, i + 2w, ... in its own thread, and allocates its own
+    scratch once: the move mask, its temporary and a uint8 array, 5 to 17
+    bytes per rank of the largest block; the mask is uint16, uint32 or
+    uint64, the narrowest that holds every class of the tier
+    (``_mask_dtype``).  A colon tier CL[m] is written in chunks of
+    ``chunk_size`` tail ranks, shared out the same way; a chunk reads no
+    prefix.  Blocks and chunks are independent, so worker threads and
+    sequential runs produce identical tables.
     """
 
     def __init__(self, chunk_size: int = 1 << 15, workers: int = 1):
@@ -203,14 +207,18 @@ class ScanTables:
 
     def _colon_tier(self, m: int) -> None:
         """Append CL[m], then drop EPS[m - 1], whose values it holds."""
+        C, size = self.C, self.chunk_size
         cl = np.empty(self._count(m + 1), dtype=np.uint8)
         if m == 1:
             # 00, 01 and 10 are loony and leave an empty piece; 01 has a
             # stopped u[1]
             cl[:] = (192, 128, 192)
         else:
-            self._run_blocks(self._blocks(m), lambda block: self._cl_block(
-                m, block[1], block[1] + block[2], cl))
+            def fill(share):
+                for lo in share:
+                    self._cl_block(m, lo, min(lo + size, C[m]), cl)
+
+            self._run(range(0, C[m], size), fill)
         self.CL.append(cl)
         self.EPS[m - 1] = np.empty(0, dtype=np.int8)
 
@@ -219,20 +227,12 @@ class ScanTables:
         rank order."""
         C = self.C
         j = next(j for j in range(m + 1) if C[m - j] <= self.chunk_size)
-        blocks = []
-
-        def grow(prefix, start):
-            k = len(prefix)
-            if k == j:
-                # a stopped file is followed by an open one
-                short = j < m and prefix[-1:] == (1,)
-                blocks.append((prefix, start, C[m - j - short]))
-                return
-            grow(prefix + (0,), start)
-            if not (prefix and prefix[-1]):
-                grow(prefix + (1,), start + C[m - 1 - k])
-
-        grow((), 0)
+        blocks, start = [], 0
+        for prefix in enumerate_words(j):
+            # a stopped file is followed by an open one
+            n = C[m - j - (0 < j < m and prefix[j - 1])]
+            blocks.append((tuple(prefix), start, n))
+            start += n
         return blocks
 
     def _eps_blocks(self, m: int, blocks: list, out: np.ndarray) -> None:
@@ -264,29 +264,27 @@ class ScanTables:
         del s, d, u  # unmapped before the scratch is
         # the pieces of a move have at most m - 2 files
         width = _mask_dtype(max(self.top[:m - 1]))
-        free = SimpleQueue()  # one scratch set per worker thread
-        for _ in range(min(self.workers, len(blocks))):
-            free.put(_mapped(size, (width, width, np.uint8)))
 
-        def fill(block):
-            scratch = free.get()
-            try:
-                self._eps_block(m, *block, width, right, steps, scratch,
-                                out)
-            finally:
-                free.put(scratch)
+        def fill(share):
+            scratch = _mapped(size, (width, width, np.uint8))
+            for block in share:
+                self._eps_block(m, *block, width, right, steps, scratch, out)
 
-        self._run_blocks(blocks, fill)
+        self._run(blocks, fill)
 
-    def _run_blocks(self, blocks: list, fn) -> None:
-        if self.workers == 1 or len(blocks) == 1:
-            for block in blocks:
-                fn(block)
+    def _run(self, items, work) -> None:
+        """Call ``work`` on worker i's share ``items[i::workers]``: in the
+        caller when there is one share, else one thread per share.  A
+        worker's exception reaches the caller."""
+        shares = [items[i::self.workers]
+                  for i in range(min(self.workers, len(items)))]
+        if len(shares) < 2:
+            work(items)
             return
         # imported here: it loads logging, which one-worker runs never need
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            list(pool.map(fn, blocks))
+        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+            list(pool.map(work, shares))
 
     def _eps_block(self, m: int, prefix: tuple, start: int, n: int, width,
                    right, steps, scratch: list, out: np.ndarray) -> None:

@@ -349,16 +349,25 @@ class PeriodicTable:
     def load(cls, path) -> "PeriodicTable":
         """Read back a table written by ``save``; R and F come from E through
         the fill's ``_colon``.  Raises ValueError unless the file holds just
-        the fields ``save`` writes, n >= 0, E is a signed integer array of
-        shape (period, n + 1) and E[q, l] lies in 0..l."""
+        the fields ``save`` writes, n, period and file_origin are integer
+        scalars, stopped is a 1-d integer array, n >= 0, E is a signed
+        integer array of shape (period, n + 1) and E[q, l] lies in 0..l."""
         with np.load(path) as data:
             fields = ", ".join(sorted(data.files))
             if fields != "E, file_origin, n, period, stopped":
                 raise ValueError(f"a saved table holds E alone, got {fields}")
-            pattern = PeriodicPattern(int(data["period"]),
-                                      frozenset(int(r) for r in data["stopped"]),
-                                      int(data["file_origin"]))
-            n, E = int(data["n"]), data["E"]
+            saved = {name: data[name] for name in data.files}
+        for name, ndim in (("n", 0), ("period", 0), ("file_origin", 0),
+                           ("stopped", 1)):
+            a = saved[name]
+            if a.dtype.kind not in "iu" or a.ndim != ndim:
+                kind = "a 1-d integer array" if ndim else "an integer scalar"
+                raise ValueError(f"{name} must be {kind}, got {a.dtype} "
+                                 f"{a.shape}")
+        pattern = PeriodicPattern(int(saved["period"]),
+                                  frozenset(int(r) for r in saved["stopped"]),
+                                  int(saved["file_origin"]))
+        n, E = int(saved["n"]), saved["E"]
         if n < 0:
             raise ValueError(f"table length must be nonnegative, got {n}")
         shape = (pattern.period, n + 1)

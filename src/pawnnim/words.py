@@ -123,8 +123,8 @@ def validate(word: Word):
 def require_valid(word: Word) -> Word:
     """Return ``word``; raise ValueError if two stopped files are adjacent."""
     if not word.is_valid:
-        raise ValueError("invalid word: adjacent stopped files at index "
-                         f"{validate(word)}")
+        raise ValueError(f"invalid word {word}: adjacent stopped files at "
+                         f"index {validate(word)}")
     return word
 
 

@@ -337,3 +337,33 @@ def test_embed_dimension_usage_error(capsys):
                        "12")
     assert code == 2
     assert "too small" in err
+
+
+@pytest.mark.parametrize("bad", [["--height", "8"], ["--width", "5"]])
+def test_embed_usage_error_keeps_an_existing_output(capsys, tmp_path, bad):
+    # the request is checked before --output is opened, so a bad
+    # dimension leaves the file as it was
+    path = tmp_path / "out.txt"
+    path.write_text("kept\n")
+    code, _, err = run(capsys, "embed", "--words", "1000", *bad,
+                       "--output", str(path))
+    assert code == 2 and "error" in err
+    assert path.read_text() == "kept\n"
+
+
+def test_invalid_word_message_names_the_word(capsys):
+    # the CLI reports words.require_valid's message, which names the word
+    code, _, err = run(capsys, "embed", "--words", "1000,0110")
+    assert code == 2
+    assert "invalid word 0110: adjacent stopped files at index 1" in err
+    code, _, err = run(capsys, "eval", "0110")
+    assert "invalid word 0110: adjacent stopped files at index 1" in err
+
+
+def test_only_threaded_scans_import_concurrent_futures():
+    # one worker runs its share in the caller; two start threads
+    script = ("import sys\nfrom pawnnim.experiments import ScanTables\n"
+              "ScanTables(chunk_size=20, workers=int(sys.argv[1])).build(12)\n"
+              "print('concurrent.futures' in sys.modules)")
+    assert _fresh_python(script, "1") == "False\n"
+    assert _fresh_python(script, "2") == "True\n"

@@ -94,10 +94,26 @@ def test_one_and_two_word_blocks(workers):
         _assert_same_tables(st, ref, chunk_size)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_every_share_split_writes_the_same_tables(workers):
+    # worker i takes blocks (and colon chunks) i, i + workers, ...: tiers
+    # of 2, 3, 5, 8, 13, 21 and 34 blocks split unevenly, and tiers of
+    # fewer blocks than workers leave workers without a share
+    ref = ScanTables()
+    ref.build(14)
+    for chunk_size in (50, 300):
+        st = ScanTables(chunk_size=chunk_size, workers=workers)
+        st.build(14)
+        blocks = {len(st._blocks(m)) for m in range(2, 15)}
+        assert {2, 3, 5} <= blocks
+        _assert_same_tables(st, ref, chunk_size)
+
+
 def test_scratch_sets_are_not_shared_between_threads():
     # more threads than cores on small blocks, switching as often as the
-    # interpreter allows: a scratch set used by two threads at once breaks
-    # the tables, and a lost one stalls the build
+    # interpreter allows: each worker allocates its own scratch for its
+    # own share of the blocks, so no two threads can write one scratch
+    # set, and the build ends with the reference tables
     ref = ScanTables()
     ref.build(16)
     interval = sys.getswitchinterval()
@@ -114,8 +130,9 @@ def test_scratch_sets_are_not_shared_between_threads():
 
 
 def test_a_failing_block_reaches_the_caller():
-    # every block of a multi-block tier fails: a worker that kept its
-    # scratch set would leave the other blocks waiting for one forever
+    # every block of a multi-block tier fails: each worker's exception
+    # ends its share and reaches the caller, and no worker waits on
+    # scratch another one holds, since each allocates its own
     st = ScanTables(chunk_size=20, workers=2)
     kernel = st._eps_block
 

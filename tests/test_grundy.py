@@ -497,6 +497,16 @@ _TAMPERED = [
     ({"CF": _P6_40.CF, "CR": _P6_40.CR}, "got CF, CR, E"),
     ({"CR": _P6_40.CR}, "got CR, E"),
     ({"R": _P6_40.R}, "got E, R"),
+    # the pattern and the length are integers of the saved shapes: none is
+    # truncated or read off an array of another shape
+    ({"n": np.array([40, 41])}, "n must be an integer scalar"),
+    ({"n": 40.9}, "n must be an integer scalar"),
+    ({"period": np.array([6, 6])}, "period must be an integer scalar"),
+    ({"period": 6.0}, "period must be an integer scalar"),
+    ({"file_origin": 1.9}, "file_origin must be an integer scalar"),
+    ({"stopped": np.array([[4]])}, "stopped must be a 1-d integer array"),
+    ({"stopped": np.array([4.7])}, "stopped must be a 1-d integer array"),
+    ({"stopped": 4}, "stopped must be a 1-d integer array"),
 ]
 
 

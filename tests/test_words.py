@@ -1,5 +1,6 @@
 import pytest
 
+from pawnnim.embed import embed
 from pawnnim.engine import classify_colon, classify_move
 from pawnnim.grundy import GrundyTable
 from pawnnim.oracle import initial_position
@@ -36,16 +37,18 @@ def test_validate():
 
 
 def test_invalid_words_are_refused_with_one_message():
-    # the engines and the oracle refuse an invalid word the same way
+    # the engines, the oracle and the embedder refuse an invalid word the
+    # same way, naming it
     bad = Word("0110")
     assert require_valid(Word("1000")) == Word("1000")
     for call in (lambda: require_valid(bad),
                  lambda: GrundyTable().ensure(bad),
                  lambda: classify_move(bad, 0, GrundyTable()),
                  lambda: classify_colon(False, bad, GrundyTable()),
-                 lambda: initial_position(["0", bad])):
-        with pytest.raises(ValueError, match="adjacent stopped files at "
-                                             "index 1$"):
+                 lambda: initial_position(["0", bad]),
+                 lambda: embed([bad], 9)):
+        with pytest.raises(ValueError, match="^invalid word 0110: adjacent "
+                                             "stopped files at index 1$"):
             call()
 
 
