@@ -22,8 +22,8 @@ w = Word("1000")
 print(f"\nword 1000 (first file stopped) -> *{epsilon(w, table)}")
 print("move classification, file by file:")
 for k in range(len(w)):
-    cls = classify_move(w, k, table)
-    verdict = "loony" if cls.is_loony else f"equivalent to a move to *{cls.value}"
+    cls = classify_move(w, k, table)  # -1 for a loony move
+    verdict = "loony" if cls < 0 else f"equivalent to a move to *{cls}"
     print(f"  file {k + 1}: {verdict}")
 
 # The unique winning move in [1000] + *1 is the file-2 move (value 1

@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     **dict.fromkeys(("Word", "PeriodicPattern", "validate", "count_words",
                      "enumerate_words", "word_from_pattern"), "words"),
-    **dict.fromkeys(("MoveClass", "classify_colon", "classify_move"),
-                    "engine"),
+    "classify_move": "engine",
     **dict.fromkeys(("GrundyTable", "epsilon", "epsilon_plain",
                      "loony_plain", "mex", "PeriodicTable", "PeriodReport",
                      "detect_period", "verify_period_window"), "grundy"),

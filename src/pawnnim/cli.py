@@ -40,17 +40,29 @@ def _parse_word(text: str):
 
 @contextmanager
 def _output(path: str):
-    """The ``--output`` stream, opened before any computation starts so an
-    unwritable path is a usage error, not work thrown away."""
+    """The ``--output`` stream: a new file beside ``path``, created before
+    any computation starts so an unwritable path is a usage error, not
+    work thrown away, and renamed over ``path`` only when the run
+    succeeds, so a failed or interrupted run leaves an existing file as it
+    was."""
     if path == "-":
         yield sys.stdout
         return
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write --output {path}: Is a directory")
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        fh = open(path, "w", encoding="utf-8")
+        fh = open(tmp, "x", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write --output {path}: {exc.strerror}")
-    with fh:
-        yield fh
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _workers(args) -> int:
@@ -70,7 +82,7 @@ def cmd_eval(args) -> int:
     if args.moves:
         for k in range(len(word)):
             cls = engine.classify_move(word, k, table)
-            text = "loony" if cls.is_loony else f"value {cls.value}"
+            text = "loony" if cls < 0 else f"value {cls}"
             print(f"file {k + 1}: {text}")
     return OK
 
@@ -147,7 +159,7 @@ def cmd_oracle(args) -> int:
         status = OK
         for k in range(len(word)):
             orc = oracle.oracle_is_loony(word, k, args.max_heap)
-            eng = engine.classify_move(word, k, table).is_loony
+            eng = engine.classify_move(word, k, table) < 0
             agree = "" if orc == eng else "  << disagrees with engine"
             if orc != eng:
                 status = MISMATCH
@@ -165,6 +177,8 @@ def cmd_oracle(args) -> int:
 def cmd_tables(args) -> int:
     from .words import PeriodicPattern
     which = args.which
+    if args.alpha_max is not None and which != "p6":
+        raise UsageError("--alpha-max applies to --which p6 only")
     workers = _workers(args)
     if which == "thm2":
         from . import grundy
@@ -195,7 +209,8 @@ def cmd_tables(args) -> int:
         return _verdict("distribution35", f"{got} vs {expected}",
                         got == expected)
     if which == "p6":
-        alpha_max = args.alpha_max or reference.P6_DEFAULT_MAX_ALPHA
+        alpha_max = (reference.P6_DEFAULT_MAX_ALPHA if args.alpha_max is None
+                     else args.alpha_max)
         if not 3 <= alpha_max <= max(reference.P6_MILESTONES):
             raise UsageError(f"--alpha-max must be between 3 and "
                              f"{max(reference.P6_MILESTONES)}")
@@ -306,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=["thm2", "first-occurrence", "distribution35",
                             "p6"])
-    p.add_argument("--alpha-max", type=int, default=0,
+    p.add_argument("--alpha-max", type=int,
                    help="p6 only: highest power-of-two exponent to check")
     add_workers(p)
     p.set_defaults(func=cmd_tables)

@@ -29,6 +29,9 @@ from dataclasses import dataclass, field
 from .words import Word, require_valid
 
 PIECES = ".PpKk"
+# the most squares ``layout`` accepts: a diagram holds one cell per
+# square, so an unbounded height or width would exhaust memory
+MAX_SQUARES = 10 ** 6
 
 
 class EmbedError(ValueError):
@@ -105,8 +108,9 @@ def layout(components, height: int, width: int | None = None):
     Without a width, the board holds the left components, their separator
     files, one empty file so that no component pawn meets the Zugzwang's,
     and the six frame files.  Raises EmbedError for an invalid or empty
-    component, a height the components cannot use, or a given width that
-    cannot hold the components and the frame.
+    component, a height the components cannot use, a given width that
+    cannot hold the components and the frame, or a board of more than
+    ``MAX_SQUARES`` squares.
     """
     comps = [Word(c) for c in components]
     for c in comps:
@@ -128,6 +132,9 @@ def layout(components, height: int, width: int | None = None):
         raise EmbedError(
             f"width {width} too small: components need {left_width} files "
             f"plus the 6 frame files")
+    if height * width > MAX_SQUARES:
+        raise EmbedError(f"a {height} x {width} board has more than "
+                         f"{MAX_SQUARES} squares")
     return comps, left, width
 
 

@@ -83,7 +83,7 @@ class GrundyTable:
         table.extend(n)
         # a shared table may have grown past n, so read lengths <= n only
         self.eps[key] = int(table.E[0, n])
-        self._done[key] = row = table.move_classes(0, n)[0]
+        self._done[key] = row = table.move_classes(n)[0]
         if n:
             self.colon[key] = int(row[0]) if n > 1 else -1
         if 2 * period <= n:
@@ -246,30 +246,22 @@ class PeriodicTable:
             R[:, 1] = self._r_loony[:p]
             F[:, n - 1] = self._f_loony[p - 1:2 * p - 1]
 
-    def move_classes(self, phase: Optional[int], L: int) -> np.ndarray:
-        """Class of the move at each file of the length-L word starting at
-        ``phase``, or of the words at every phase for ``None``: a (1, L) or
-        (p, L) array, -1 for loony.  Reads only lengths below L.  Raises
-        ValueError unless the phase is in 0..p-1 and 0 <= L <= n + 1 for a
-        table of length n."""
-        p = self.p
-        if phase is None:
-            a, m = 0, p
-        elif 0 <= phase < p:
-            a, m = phase, 1
-        else:
-            raise ValueError(f"phase {phase} is outside 0..{p - 1}")
+    def move_classes(self, L: int) -> np.ndarray:
+        """Class of the move at each file of the length-L word at every
+        start phase: a (p, L) array, -1 for loony.  Reads only lengths
+        below L.  Raises ValueError unless 0 <= L <= n + 1 for a table of
+        length n."""
         # the arrays hold lengths 0..width - 1, ahead of n during a fill
         width = self.E.shape[1]
         if not 0 <= L <= width:
             raise ValueError(f"L = {L} is outside 0..{width} for a table "
                              f"of length {width - 1}")
-        out = self._moves(a, m, L)
+        out = self._moves(L)
         out[out >= _SIDE_R] = -1
         return out
 
-    def _moves(self, a: int, m: int, L: int) -> np.ndarray:
-        """The moves of the length-L words at phases a..a + m - 1: a class,
+    def _moves(self, L: int) -> np.ndarray:
+        """The moves of the length-L words at every start phase: a class,
         or at least ``_SIDE_R`` for loony.  An end move is the colon entry
         of the rest of the word, loony with LOONY.  An interior move at file
         k leaves the capture pieces of R[q, k] and of F of the tail from
@@ -277,30 +269,29 @@ class PeriodicTable:
         it is loony exactly when a side bit survives.  Those tails all end
         at file L - 1, so their F entries are a slice of end row (q + L) % p.
         """
+        p = self.p
         if L <= 1:
-            return np.zeros((m, L), dtype=np.int32)  # a move to 0
-        out = np.empty((m, L), dtype=np.int32)
+            return np.zeros((p, L), dtype=np.int32)  # a move to 0
+        out = np.empty((p, L), dtype=np.int32)
         width = self.E.shape[1]
         F = self.F[:, width - L:width - 1]
-        R = self.R[a:a + m]
         # the end rows of all phases wrap past p - 1 at most once, so they
         # are two row slices
-        end = (a + L) % self.p
-        split = min(m, self.p - end)
+        split = p - L % p
         inner = out[:, 1:L - 1]
-        for lo, hi, e in ((0, split, end), (split, m, 0)):
+        for lo, hi, e in ((0, split, L % p), (split, p, 0)):
             if lo < hi:
                 right = F[e:e + hi - lo]
                 out[lo:hi, 0] = right[:, 0]
-                np.bitwise_xor(R[lo:hi, 1:L - 1], right[:, 1:],
+                np.bitwise_xor(self.R[lo:hi, 1:L - 1], right[:, 1:],
                                out=inner[lo:hi])
         np.bitwise_and(inner, ~_LOONY, out=inner)
-        out[:, L - 1] = R[:, L - 1]
+        out[:, L - 1] = self.R[:, L - 1]
         return out
 
     def _fill(self, L: int) -> None:
         p, E = self.p, self.E
-        cls = self._moves(0, p, L)
+        cls = self._moves(L)
         if self.top < 32:
             bits = cls.view(np.uint32)
             np.left_shift(np.uint32(1), bits, out=bits)

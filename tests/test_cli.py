@@ -137,6 +137,8 @@ def test_periodic_bad_pattern_usage_error(capsys):
     ["scan", "--length", "9", "--first-occurrence", "--max-k", "-2"],
     ["scan", "--length", "9", "--distribution", "--workers", "0"],
     ["tables", "--which", "first-occurrence", "--workers", "0"],
+    ["tables", "--which", "thm2", "--alpha-max", "5"],
+    ["tables", "--which", "p6", "--alpha-max", "0"],
 ])
 def test_out_of_range_input_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -275,12 +277,35 @@ def test_unwritable_output_usage_error(capsys, monkeypatch, tmp_path, argv):
                         (experiments, "periodic_scan"),
                         (cli, "build_diagram")):
         monkeypatch.setattr(owner, name, unreachable)
-    path = tmp_path / "missing" / "out.txt"
-    code, out, err = run(capsys, *argv, "--output", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(path) in err
+    # a path in a missing directory, and a directory
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failed_run_keeps_an_existing_output(capsys, monkeypatch, tmp_path,
+                                             error):
+    # the report is written beside the output and renamed over it only
+    # when the run succeeds
+    def fail(result, format, fh):
+        fh.write("partial\n")
+        raise error("report failed")
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"old report\n")
+    argv = ["scan", "--length", "6", "--distribution", "--output", str(path)]
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "write_report", fail)
+        with pytest.raises(error):
+            main(argv)
+    assert path.read_bytes() == b"old report\n"
+    assert os.listdir(tmp_path) == ["keep.csv"]
+    assert run(capsys, *argv)[0] == 0
+    assert path.read_text().splitlines()[1] == "value,count,percent"
+    assert os.listdir(tmp_path) == ["keep.csv"]
 
 
 def test_oracle_resource_limit_exits_one_without_traceback(capsys,

@@ -3,8 +3,9 @@ import warnings
 
 import pytest
 
-from pawnnim.embed import (ChessDiagram, EmbedError, FrameTemplateWarning,
-                           embed, extract_components, parse_render, render)
+from pawnnim.embed import (MAX_SQUARES, ChessDiagram, EmbedError,
+                           FrameTemplateWarning, embed, extract_components,
+                           layout, parse_render, render)
 from pawnnim.words import Word, enumerate_words
 
 # 9x12 reference diagrams, rows printed top to bottom
@@ -179,6 +180,15 @@ def test_dimension_errors():
         embed([""], 9, 12)
     with pytest.warns(FrameTemplateWarning):
         embed(["000"], 7, 12)         # plain words allowed at height 7
+
+
+def test_layout_bounds_the_board():
+    # refused by layout, before a diagram allocates its cells
+    widest = MAX_SQUARES // 9
+    assert layout(["1000"], 9, widest)[2] == widest
+    for height, width in ((1000000001, None), (9, widest + 1)):
+        with pytest.raises(EmbedError, match=f"more than {MAX_SQUARES}"):
+            layout(["1000"], height, width)
 
 
 def test_height_warning_outside_reference():

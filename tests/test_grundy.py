@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from pawnnim.engine import classify_colon, classify_move
+from pawnnim.engine import classify_move
 from pawnnim.experiments import ScanTables, periodic_scan, write_report
 from pawnnim.grundy import (GrundyTable, InsufficientTableError,
                             PeriodicTable, detect_period, epsilon,
@@ -103,10 +103,6 @@ def _live_phase_tables():
     return sum(isinstance(o, PeriodicTable) for o in gc.get_objects())
 
 
-def _as_int(cls):
-    return -1 if cls.is_loony else cls.value
-
-
 @pytest.fixture(scope="module")
 def small_words():
     """One GrundyTable asked about every valid word of up to 14 files: its
@@ -117,8 +113,8 @@ def small_words():
     answers = []
     for m in range(15):
         for w in enumerate_words(m):
-            moves = [_as_int(classify_move(w, k, table)) for k in range(m)]
-            colons = {und: _as_int(classify_colon(bool(und), w, table))
+            moves = [classify_move(w, k, table) for k in range(m)]
+            colons = {und: table.colon_class(Word([und]) + w)
                       for und in (0, 1) if not (und and m and w[0] == 1)}
             answers.append((w, epsilon(w, table), moves, colons))
     return table, answers, _live_phase_tables() - before
@@ -170,8 +166,8 @@ def test_padded_tables_are_dropped(small_words):
     assert not table._tables
     fresh = PeriodicTable(PeriodicPattern(5, frozenset({0}), file_origin=5), 9)
     assert table.epsilon(longer) == fresh.E[0, 9]
-    assert table.move_classes(longer) == fresh.move_classes(0, 9)[0].tolist()
-    assert table.move_classes(short) == fresh.move_classes(0, 4)[0].tolist()
+    assert table.move_classes(longer) == fresh.move_classes(9)[0].tolist()
+    assert table.move_classes(short) == fresh.move_classes(4)[0].tolist()
 
 
 @pytest.mark.parametrize("unit", ["0", "1000", "0010"])
@@ -187,7 +183,7 @@ def test_shared_table_reads_each_word_at_its_length(unit):
         w = Word((unit * 60)[:m])
         fresh = PeriodicTable(pattern, m)
         assert table.epsilon(w) == fresh.E[0, m], m
-        assert table.move_classes(w) == fresh.move_classes(0, m)[0].tolist()
+        assert table.move_classes(w) == fresh.move_classes(m)[0].tolist()
         if m:
             assert table.colon_class(w) == fresh.CF[1 % period, m - 1], m
 
@@ -198,6 +194,69 @@ def test_long_word_records_one_entry():
     assert len(table.eps) == 1 and len(table.colon) == 1
     with pytest.raises(ValueError):
         table.colon_class(Word(""))  # the empty word has no colon file
+
+
+# a move class is the value v of the equivalent move to *v, or -1 for
+# loony; a colon class is read from the word made of the colon file and
+# the tail
+
+def test_colon_end_cases(table):
+    # single-file tails are always loony, as is the short stopped-colon tail
+    assert table.colon_class(Word("00")) == -1
+    assert table.colon_class(Word("01")) == -1
+    assert table.colon_class(Word("100")) == -1
+    assert table.colon_class(Word("101")) == -1
+    # length-1 tail behind a stopped colon file: loony (forces eps(10) = 0)
+    assert table.colon_class(Word("10")) == -1
+
+
+def test_colon_values(table):
+    assert table.colon_class(Word("000")) == 1
+    assert table.colon_class(Word("00000")) == -1
+    assert table.colon_class(Word("1000")) == -1
+
+
+def test_colon_invariant_violation(table):
+    # the file next to a stopped colon file cannot be stopped
+    with pytest.raises(ValueError):
+        table.colon_class(Word("110"))
+
+
+def test_move_classes_of_the_star2_component(table):
+    w = Word("1000")
+    assert [classify_move(w, k, table) for k in range(4)] == [-1, 1, -1, 0]
+
+
+def test_move_examples(table):
+    assert classify_move(Word("00000"), 2, table) == 0
+    assert classify_move(Word("00"), 0, table) == -1
+    assert classify_move(Word("0"), 0, table) == 0
+    assert classify_move(Word("1"), 0, table) == 0
+
+
+def test_move_rejects_bad_input(table):
+    with pytest.raises(ValueError):
+        classify_move(Word("011"), 0, table)
+    with pytest.raises(IndexError):
+        classify_move(Word("00"), 2, table)
+
+
+def test_interior_both_stopped_neighbours_never_loony(table):
+    # any interior move flanked by two stopped files is a plain exchange
+    for text in ("101", "10101", "01010"):
+        w = Word(text)
+        for k in range(1, len(w) - 1):
+            if w[k - 1] == 1 and w[k + 1] == 1:
+                assert classify_move(w, k, table) >= 0
+
+
+def test_mirror_symmetry_exhaustive(table):
+    for m in range(1, 9):
+        for w in enumerate_words(m):
+            rw = w.reversed()
+            for k in range(m):
+                assert classify_move(w, k, table) == classify_move(
+                    rw, m - 1 - k, table), (str(w), k)
 
 
 # -- periodic families -------------------------------------------------------
@@ -235,8 +294,8 @@ def _assert_same_table(got, fresh, n):
     # move_classes reads lengths below L, so a table of length n serves
     # every L up to n + 1
     for L in sorted({0, 1, 2, 3, n // 2, n, n + 1} & set(range(n + 2))):
-        assert np.array_equal(got.move_classes(None, L),
-                              fresh.move_classes(None, L)), (L, n)
+        assert np.array_equal(got.move_classes(L), fresh.move_classes(L)), \
+            (L, n)
 
 
 @pytest.mark.parametrize("pattern", [
@@ -371,8 +430,7 @@ def test_periodic_table_save_load(tmp_path):
     assert back.pattern == pattern
     assert back.n == 40
     assert np.array_equal(back.E, t.E)
-    assert np.array_equal(back.move_classes(None, 40),
-                          t.move_classes(None, 40))
+    assert np.array_equal(back.move_classes(40), t.move_classes(40))
     # E, R and F, int32 each, are the only arrays that grow with a table,
     # filled or loaded
     for table in (t, back):
@@ -422,7 +480,7 @@ def test_periodic_table_pinned(pattern, digest):
     PeriodicPattern(14, frozenset({0, 5})),
     _PADDED20,
 ])
-def test_move_classes_single_phase_matches_all_phases(pattern):
+def test_move_classes_follow_the_move_rule(pattern):
     # the end-phase slices behind move_classes wrap around the phases and
     # have edge cases at short L; check them against the move rule read
     # cell by cell from E, CF and CR by start phase
@@ -442,27 +500,18 @@ def test_move_classes_single_phase_matches_all_phases(pattern):
         return row + [int(CR[q, L - 1])]
 
     for L in list(range(9)) + [200]:
-        every = t.move_classes(None, L)
+        every = t.move_classes(L)
         assert every.shape == (p, L)
         for q in range(p):
             assert every[q].tolist() == direct(q, L), (q, L)
-            assert np.array_equal(t.move_classes(q, L), every[q:q + 1]), (q, L)
-
-
-def test_move_classes_rejects_phases_outside_the_period():
-    t = PeriodicTable(PeriodicPattern(6, frozenset({4})), 10)
-    assert t.move_classes(5, 5).shape == (1, 5)
-    for phase in (6, -1):
-        with pytest.raises(ValueError, match="outside 0..5"):
-            t.move_classes(phase, 5)
 
 
 def test_move_classes_rejects_lengths_the_table_lacks():
     t = PeriodicTable(PeriodicPattern(6, frozenset({4})))
-    assert t.move_classes(0, 1).shape == (1, 1)
+    assert t.move_classes(1).shape == (6, 1)
     for table, L in ((t, 2), (t, -1), (PeriodicTable(t.pattern, 10), 12)):
         with pytest.raises(ValueError, match=f"table of length {table.n}"):
-            table.move_classes(0, L)
+            table.move_classes(L)
 
 
 _P6_40 = PeriodicTable(PeriodicPattern(6, frozenset({4})), 40)

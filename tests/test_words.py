@@ -1,7 +1,7 @@
 import pytest
 
 from pawnnim.embed import embed
-from pawnnim.engine import classify_colon, classify_move
+from pawnnim.engine import classify_move
 from pawnnim.grundy import GrundyTable
 from pawnnim.oracle import initial_position
 from pawnnim.words import (PeriodicPattern, Word, count_words,
@@ -44,7 +44,7 @@ def test_invalid_words_are_refused_with_one_message():
     for call in (lambda: require_valid(bad),
                  lambda: GrundyTable().ensure(bad),
                  lambda: classify_move(bad, 0, GrundyTable()),
-                 lambda: classify_colon(False, bad, GrundyTable()),
+                 lambda: GrundyTable().colon_class(bad),
                  lambda: initial_position(["0", bad]),
                  lambda: embed([bad], 9)):
         with pytest.raises(ValueError, match="^invalid word 0110: adjacent "
