@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from contextlib import contextmanager
 
@@ -40,28 +41,49 @@ def _parse_word(text: str):
 
 @contextmanager
 def _output(path: str):
-    """The ``--output`` stream: a new file beside ``path``, created before
-    any computation starts so an unwritable path is a usage error, not
-    work thrown away, and renamed over ``path`` only when the run
-    succeeds, so a failed or interrupted run leaves an existing file as it
-    was."""
+    """The ``--output`` stream, opened before any computation starts so an
+    unwritable path is a usage error, not work thrown away.  A new file,
+    or a regular one (a symlink's target too) with no other hard link, is
+    written beside itself with its mode and owner and renamed into place
+    only when the run succeeds, so a failed run leaves an old report as it
+    was.  Any other path, or one whose mode or owner cannot be kept, is
+    written through."""
     if path == "-":
         yield sys.stdout
         return
     if os.path.isdir(path):
         raise UsageError(f"cannot write --output {path}: Is a directory")
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    st, fh = os.stat(path) if os.path.exists(path) else None, None
     try:
-        fh = open(tmp, "x", encoding="utf-8")
+        if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                          and os.access(path, os.W_OK)):
+            try:
+                fh = open(tmp, "x", encoding="utf-8")
+                if st is not None:
+                    os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+                    os.fchown(fh.fileno(), st.st_uid, st.st_gid)
+            except OSError:
+                if st is None:
+                    raise
+                if fh is not None:
+                    fh.close()
+                    os.remove(tmp)
+                    fh = None
+        if fh is None:
+            tmp, fh = None, open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write --output {path}: {exc.strerror}")
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        if tmp is not None:
+            os.replace(tmp, target)
     except BaseException:
-        os.remove(tmp)
+        if tmp is not None:
+            os.remove(tmp)
         raise
 
 

@@ -83,7 +83,8 @@ class GrundyTable:
         table.extend(n)
         # a shared table may have grown past n, so read lengths <= n only
         self.eps[key] = int(table.E[0, n])
-        self._done[key] = row = table.move_classes(n)[0]
+        # a copy, so the row does not keep every phase's row alive
+        self._done[key] = row = table.move_classes(n)[0].copy()
         if n:
             self.colon[key] = int(row[0]) if n > 1 else -1
         if 2 * period <= n:

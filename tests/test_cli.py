@@ -1,6 +1,7 @@
 import json
 import os
 import shlex
+import stat
 import subprocess
 import sys
 
@@ -306,6 +307,51 @@ def test_failed_run_keeps_an_existing_output(capsys, monkeypatch, tmp_path,
     assert run(capsys, *argv)[0] == 0
     assert path.read_text().splitlines()[1] == "value,count,percent"
     assert os.listdir(tmp_path) == ["keep.csv"]
+
+
+def test_output_keeps_what_a_rename_would_change(capsys, tmp_path):
+    # a symlink keeps its link and its target takes the report, with its
+    # mode; a file with another hard link and a FIFO are written through
+    argv = ["scan", "--length", "6", "--distribution", "--output"]
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert run(capsys, *argv, str(link))[0] == 0
+    assert link.is_symlink()
+    report = target.read_text()
+    assert report.splitlines()[1] == "value,count,percent"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    other = tmp_path / "other.csv"
+    os.link(target, other)
+    target.write_text("old\n")
+    assert run(capsys, *argv, str(target))[0] == 0
+    assert other.read_text() == report
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # a reader that never blocks, so a run that misses the FIFO fails
+    # here rather than hanging
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, *argv, str(fifo))[0] == 0
+        assert os.read(fd, 1 << 16).decode() == report
+    finally:
+        os.close(fd)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "link.csv", "other.csv",
+                                            "target.csv"]
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="needs to own files as "
+                    "another user")
+def test_output_keeps_the_owner(capsys, tmp_path):
+    path = tmp_path / "theirs.csv"
+    path.write_text("old\n")
+    os.chown(path, 1234, 1234)
+    argv = ["scan", "--length", "6", "--distribution", "--output", str(path)]
+    assert run(capsys, *argv)[0] == 0
+    assert (path.stat().st_uid, path.stat().st_gid) == (1234, 1234)
+    assert path.read_text().splitlines()[1] == "value,count,percent"
 
 
 def test_oracle_resource_limit_exits_one_without_traceback(capsys,

@@ -168,6 +168,9 @@ def test_padded_tables_are_dropped(small_words):
     assert table.epsilon(longer) == fresh.E[0, 9]
     assert table.move_classes(longer) == fresh.move_classes(9)[0].tolist()
     assert table.move_classes(short) == fresh.move_classes(4)[0].tolist()
+    # a recorded row holds its own n classes, not a view of every phase
+    assert all(row.base is None for row in table._done.values())
+    assert table._done[longer.key].shape == (9,)
 
 
 @pytest.mark.parametrize("unit", ["0", "1000", "0010"])
