@@ -8,7 +8,7 @@ diagrams).
 
 Exit status: 0 on success, 1 when a computation disagrees with a built-in
 table or an invariant fails or standard output is closed early, 2 for
-usage or validation errors.
+usage or validation errors, 130 when interrupted (SIGINT, as by Ctrl-C).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from contextlib import contextmanager
 # oracle's searches not numpy, which grundy and experiments import
 from . import __version__
 
-OK, MISMATCH, USAGE = 0, 1, 2
+OK, MISMATCH, USAGE, INTERRUPTED = 0, 1, 2, 130
 
 
 class UsageError(Exception):
@@ -114,8 +114,11 @@ def cmd_scan(args) -> int:
     if not 0 <= args.length <= experiments.MAX_SCAN_LENGTH:
         raise UsageError(f"--length must be between 0 and "
                          f"{experiments.MAX_SCAN_LENGTH}")
-    if args.first_occurrence and args.max_k < 1:
-        raise UsageError("--max-k must be at least 1")
+    # a value of k needs at least k files
+    if (args.first_occurrence
+            and not 1 <= args.max_k <= experiments.MAX_SCAN_LENGTH):
+        raise UsageError(f"--max-k must be between 1 and "
+                         f"{experiments.MAX_SCAN_LENGTH}")
     workers = _workers(args)
     with _output(args.output) as fh:
         tables = experiments.ScanTables(workers=workers)
@@ -379,6 +382,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except KeyboardInterrupt:
+        # _output has already removed its temporary file
+        print("error: interrupted", file=sys.stderr)
+        return INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -8,20 +8,18 @@ player without a move loses.  An attached Nim heap models extra *k
 summands: either player may shrink it to any smaller size.
 
 The search knows nothing about components or colon notation, so it is an
-independent check on the classification engine.  Pawn moves are
-whole-board shifts of the square bits (file*3 + row-1): White advances
-by +1 and captures toward the lower and the higher file by -2 and +4,
-Black by -1, -4 and +2.  ``_move_sets`` states them for ``legal_moves``
-and ``principal_variation``; the solver's two search functions, one per
-side, restate them with their side's shifts as constants, and
-``test_solver_searches_the_reference_positions`` holds the solver to the
-positions a plain search over ``legal_moves`` reaches.  Masks from the
-board geometry (its width and stopped files) keep each side's pawns on
-the rows they can move from and mark the far-row squares of unstopped
-files; ``BoardPosition.touchdown_winner`` reads them too.  The solver
+independent check on the classification engine.  ``legal_moves`` states
+the pawn rules square by square: a pawn steps one row toward its far row,
+onto the empty square ahead on its own file or onto an enemy pawn on a
+neighbouring file.  ``apply_move`` and ``principal_variation`` read them
+from there.  The solver restates them as whole-board shifts of the square
+bits (file*3 + row-1), one search function per side with that side's
+shifts and masks as constants, and
+``test_solver_searches_the_reference_positions`` compares the two
+statements through the positions each search reaches.  The solver
 searches raw ints under one packed int key per position, checks
 touchdown only at its root, tries children in ``legal_moves`` order, and
-is bound to the one geometry it first sees.
+is bound to the one geometry (width and stopped files) it first sees.
 """
 
 from __future__ import annotations
@@ -80,13 +78,17 @@ class BoardPosition:
         return "."
 
     def touchdown_winner(self) -> Optional[int]:
-        far = _masks(self.width, self.stopped)[1]
-        white, black = self.white & far[WHITE], self.black & far[BLACK]
-        # the lowest file with a touchdown wins, White first on a shared
-        # file: White's far-row bit sits two above Black's
-        if white and (not black or (white & -white) >> 2 <= black & -black):
-            return WHITE
-        return BLACK if black else None
+        """The side with a pawn on its far row of an unstopped file, or
+        None.  The lowest such file decides, White first on a shared
+        file."""
+        for f in range(self.width):
+            if f in self.stopped:
+                continue
+            if self.white & _bit(f, 3):
+                return WHITE
+            if self.black & _bit(f, 1):
+                return BLACK
+        return None
 
 
 def initial_position(components: Iterable["Word | str"],
@@ -112,86 +114,51 @@ def initial_position(components: Iterable["Word | str"],
                          side_to_move)
 
 
+def legal_moves(pos: BoardPosition) -> "list[Move]":
+    """The moves of the side to move: its pawns file by file and row by
+    row (low bit first), and for each the advance, the capture toward the
+    lower file and the capture toward the higher file.  A pawn steps one
+    row toward its far row, onto the empty square ahead on its own file
+    or onto an enemy pawn on a neighbouring file."""
+    if pos.side_to_move == WHITE:
+        own, other, step = pos.white, pos.black, 1
+    else:
+        own, other, step = pos.black, pos.white, -1
+    moves = []
+    for f in range(pos.width):
+        for row in (1, 2, 3):
+            to = row + step
+            if not own & _bit(f, row) or not 1 <= to <= 3:
+                continue
+            if not (own | other) & _bit(f, to):
+                moves.append(Move(f, row, f, to, False))
+            for g in (f - 1, f + 1):
+                if 0 <= g < pos.width and other & _bit(g, to):
+                    moves.append(Move(f, row, g, to, True))
+    return moves
+
+
+def apply_move(pos: BoardPosition, mv: Move) -> BoardPosition:
+    """The position after ``mv``, which must be one of
+    ``legal_moves(pos)``; any other move raises ValueError."""
+    if mv not in legal_moves(pos):
+        raise ValueError(f"illegal move {mv}")
+    src, dest = _bit(mv.from_file, mv.from_row), _bit(mv.to_file, mv.to_row)
+    white, black = pos.white & ~dest, pos.black & ~dest
+    if pos.side_to_move == WHITE:
+        white ^= src | dest
+    else:
+        black ^= src | dest
+    return BoardPosition(pos.width, pos.stopped, white, black,
+                         1 - pos.side_to_move)
+
+
 def _masks(width: int, stopped: frozenset) -> tuple:
     """Per side, the squares a pawn can move from (rows 1-2 for White,
     rows 2-3 for Black) and the far-row squares of unstopped files."""
     row = sum(1 << 3 * f for f in range(width))
     far = sum(1 << 3 * f for f in range(width) if f not in stopped)
     return (row | row << 1, row << 1 | row << 2), (far << 2, far)
-
-
-def _move_sets(side: int, own: int, other: int, movable: int) -> tuple:
-    """Every pawn move of ``side`` at once, as whole-board shifts of the
-    bits (file*3 + row-1); ``own`` holds the pawns of ``side`` and
-    ``other`` the rival's.  For advance, capture toward the lower file and
-    capture toward the higher file, in that order: the set of pawns that
-    can make the move, then the set of squares they land on.  White moves
-    by +1, -2 and +4, Black by -1, -4 and +2; ``movable`` keeps each pawn
-    on a row it can move from, and a shift past an edge file meets no
-    pawn."""
-    empty = ~(own | other)
-    own &= movable
-    if side == WHITE:
-        adv, capl, capr = (own & (empty >> 1), own & (other << 2),
-                           own & (other >> 4))
-        return adv, capl, capr, adv << 1, capl >> 2, capr << 4
-    adv, capl, capr = (own & (empty << 1), own & (other << 4),
-                       own & (other >> 2))
-    return adv, capl, capr, adv >> 1, capl >> 4, capr << 2
-
-
-def _moves_of(pos: BoardPosition) -> "list[tuple]":
-    """The legal moves of the side to move, as (Move, wins at once): own
-    pawns low bit first; for each, advance, capture toward the lower file,
-    capture toward the higher file.  A move wins at once when it reaches
-    the far row of an unstopped file."""
-    movable, far = _masks(pos.width, pos.stopped)
-    side = pos.side_to_move
-    own, other = ((pos.white, pos.black) if side == WHITE
-                  else (pos.black, pos.white))
-    adv, capl, capr, *dests = _move_sets(side, own, other, movable[side])
-    out = []
-    bb = adv | capl | capr
-    while bb:
-        low = bb & -bb
-        bb ^= low
-        src_file, src_row = divmod(low.bit_length() - 1, 3)
-        for i, sources in enumerate((adv, capl, capr)):
-            if sources & low:
-                # shifts keep order, so this pawn lands on the lowest
-                # square of the set not yet taken
-                dest = dests[i] & -dests[i]
-                dests[i] ^= dest
-                to_file, to_row = divmod(dest.bit_length() - 1, 3)
-                out.append((Move(src_file, src_row + 1, to_file, to_row + 1,
-                                 i > 0), bool(dest & far[side])))
-    return out
-
-
-def legal_moves(pos: BoardPosition) -> "list[Move]":
-    """Own pawns low bit first; for each, advance, capture toward the
-    lower file, capture toward the higher file."""
-    return [mv for mv, _ in _moves_of(pos)]
-
-
-def apply_move(pos: BoardPosition, mv: Move) -> BoardPosition:
-    own_is_white = pos.side_to_move == WHITE
-    own = pos.white if own_is_white else pos.black
-    other = pos.black if own_is_white else pos.white
-    src = _bit(mv.from_file, mv.from_row)
-    dest = _bit(mv.to_file, mv.to_row)
-    if not own & src:
-        raise ValueError(f"no pawn to move for {mv}")
-    if mv.capture:
-        if not other & dest:
-            raise ValueError(f"illegal capture {mv}")
-        other &= ~dest
-    elif (pos.white | pos.black) & dest:
-        raise ValueError(f"illegal advance {mv}")
-    own = (own & ~src) | dest
-    white, black = (own, other) if own_is_white else (other, own)
-    return BoardPosition(pos.width, pos.stopped, white, black,
-                         1 - pos.side_to_move)
 
 
 class Solver:
@@ -242,10 +209,11 @@ def _searches(memo: dict, max_states: int, bits: int, movable: tuple,
     Each takes the pawns (white, black), the heap, itself and the other
     side's function, and has its side's shifts, masks and memo-key
     layout as constants: White advances by +1 and captures toward the
-    lower and the higher file by -2 and +4, Black by -1, -4 and +2, as
-    in ``_move_sets``.  A move that reaches the far row of an unstopped
-    file wins at once, which ends the search of its position before any
-    child is searched.  Otherwise the children are searched in the order
+    lower and the higher file by -2 and +4, Black by -1, -4 and +2,
+    restating as shifts the rules ``legal_moves`` states square by
+    square.  A move that reaches the far row of an unstopped file wins
+    at once, which ends the search of its position before any child is
+    searched.  Otherwise the children are searched in the order
     of ``legal_moves`` (pawns low bit first; advance, capture toward the
     lower file, capture toward the higher file), then the heap
     reductions.  The functions reach each other through their arguments,
@@ -357,18 +325,24 @@ def outcome(pos: BoardPosition, heap: int = 0) -> bool:
     return Solver().wins(pos, heap)
 
 
-def oracle_epsilon(word: "Word | str", max_heap: int = 3) -> int:
-    """The unique heap size j <= max_heap whose sum with [word] is a loss
-    for the side to move; by Nim equivalence this is the component value."""
-    w = Word(word)
+def _losing_heap(w: Word, wins, max_heap: int) -> int:
+    """The unique heap size j <= max_heap whose sum with [w], White to
+    move, is a loss, where ``wins(pos, j)`` tells whether the side to move
+    wins."""
     pos = initial_position([w])
-    losses = [j for j in range(max_heap + 1)
-              if not Solver().wins(pos, j)]
+    losses = [j for j in range(max_heap + 1) if not wins(pos, j)]
     if len(losses) != 1:
         raise NonUniqueHeapError(
             f"[{w}] loses against heaps {losses}; expected exactly one "
             f"j <= {max_heap}")
     return losses[0]
+
+
+def oracle_epsilon(word: "Word | str", max_heap: int = 3) -> int:
+    """The unique heap size j <= max_heap whose sum with [word] is a loss
+    for the side to move; by Nim equivalence this is the component value.
+    Each heap gets a fresh search."""
+    return _losing_heap(Word(word), outcome, max_heap)
 
 
 def oracle_is_loony(word: "Word | str", k: int, max_heap: int = 3) -> bool:
@@ -394,17 +368,13 @@ def solve_word(word: "Word | str",
     the root, so their searches share the root's memo.  The default bound
     of 5 covers every value up to 10 files: *5 first appears at 11."""
     w = Word(word)
-    pos = initial_position([w])
     solver = Solver()
-    losses = [j for j in range(max_heap + 1) if not solver.wins(pos, j)]
-    if len(losses) != 1:
-        raise NonUniqueHeapError(
-            f"[{w}] loses against heaps {losses}; expected exactly one "
-            f"j <= {max_heap}")
+    value = _losing_heap(w, solver.wins, max_heap)
+    pos = initial_position([w])
     advances = [mv for mv in legal_moves(pos) if not mv.capture]
     loony = tuple(all(solver.wins(apply_move(pos, mv), j)
                       for j in range(max_heap + 1)) for mv in advances)
-    return losses[0], loony
+    return value, loony
 
 
 def principal_variation(pos: BoardPosition, heap: int = 0) -> "list[str]":
@@ -416,12 +386,10 @@ def principal_variation(pos: BoardPosition, heap: int = 0) -> "list[str]":
     while len(line) < 200:
         if pos.touchdown_winner() is not None:
             break
-        moves = _moves_of(pos)
-        chosen = None
-        for mv, wins in moves:
-            if wins or not solver.wins(apply_move(pos, mv), heap):
-                chosen = mv
-                break
+        moves = legal_moves(pos)
+        # a touchdown child is lost for its side to move
+        chosen = next((mv for mv in moves
+                       if not solver.wins(apply_move(pos, mv), heap)), None)
         if chosen is None:
             for smaller in range(heap):
                 flipped = BoardPosition(pos.width, pos.stopped, pos.white,
@@ -433,7 +401,7 @@ def principal_variation(pos: BoardPosition, heap: int = 0) -> "list[str]":
             else:
                 if not moves:
                     break
-                chosen = moves[0][0]
+                chosen = moves[0]
         if chosen is not None:
             line.append(chosen.notation())
             pos = apply_move(pos, chosen)

@@ -136,6 +136,7 @@ def test_periodic_bad_pattern_usage_error(capsys):
     ["oracle", "--word", "10", "--max-heap", "-1"],
     ["scan", "--length", "9", "--first-occurrence", "--max-k", "0"],
     ["scan", "--length", "9", "--first-occurrence", "--max-k", "-2"],
+    ["scan", "--length", "9", "--first-occurrence", "--max-k", "61"],
     ["scan", "--length", "9", "--distribution", "--workers", "0"],
     ["tables", "--which", "first-occurrence", "--workers", "0"],
     ["tables", "--which", "thm2", "--alpha-max", "5"],
@@ -300,12 +301,29 @@ def test_failed_run_keeps_an_existing_output(capsys, monkeypatch, tmp_path,
     argv = ["scan", "--length", "6", "--distribution", "--output", str(path)]
     with monkeypatch.context() as m:
         m.setattr(experiments, "write_report", fail)
-        with pytest.raises(error):
-            main(argv)
+        if error is KeyboardInterrupt:
+            assert main(argv) == 130
+        else:
+            with pytest.raises(error):
+                main(argv)
     assert path.read_bytes() == b"old report\n"
     assert os.listdir(tmp_path) == ["keep.csv"]
     assert run(capsys, *argv)[0] == 0
     assert path.read_text().splitlines()[1] == "value,count,percent"
+    assert os.listdir(tmp_path) == ["keep.csv"]
+
+
+def test_interrupted_run_exits_130_with_one_line(capsys, monkeypatch,
+                                                tmp_path):
+    def interrupt(m, tables):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(experiments, "value_distribution", interrupt)
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"old report\n")
+    code, out, err = run(capsys, "scan", "--length", "6", "--distribution",
+                         "--output", str(path))
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+    assert path.read_bytes() == b"old report\n"
     assert os.listdir(tmp_path) == ["keep.csv"]
 
 

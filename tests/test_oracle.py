@@ -6,8 +6,8 @@ import pytest
 from pawnnim import oracle
 from pawnnim.engine import classify_move
 from pawnnim.grundy import GrundyTable, epsilon
-from pawnnim.oracle import (BLACK, WHITE, BoardPosition, NonUniqueHeapError,
-                            ResourceLimitError, Solver,
+from pawnnim.oracle import (BLACK, WHITE, BoardPosition, Move,
+                            NonUniqueHeapError, ResourceLimitError, Solver,
                             apply_move, initial_position, legal_moves,
                             oracle_epsilon, oracle_is_loony, outcome,
                             principal_variation, solve_word)
@@ -221,6 +221,13 @@ def test_touchdown_positions():
     stopped = BoardPosition(pos.width, frozenset({0}), 1 << 2,
                             pos.black & ~(1 << 2), BLACK)
     assert stopped.touchdown_winner() is None
+    # touchdowns on two files: the lower file wins, White first on a
+    # shared file
+    for white, black, winner in ((1 << 8, 1 << 0, BLACK),
+                                 (1 << 2, 1 << 6, WHITE),
+                                 (1 << 5, 1 << 3, WHITE)):
+        both = BoardPosition(3, frozenset(), white, black, WHITE)
+        assert both.touchdown_winner() == winner, (white, black)
 
 
 def test_inert_pawn_on_stopped_far_row():
@@ -255,12 +262,24 @@ def test_resource_limit():
         Solver(max_states=4).wins(initial_position(["00000"]), 0)
 
 
-def test_principal_variation_smoke():
+def test_principal_variation_line():
+    # the line demo 02 prints
     line = principal_variation(initial_position(["000"]), 1)
-    assert line
-    assert all(isinstance(s, str) for s in line)
-    # first entry is a board move or a heap reduction
-    assert line[0].count(",") >= 2 or line[0].startswith("heap->")
+    assert " ".join(line) == "1,1,2 2,3,2 2,1,2,x 2,3,2,x 1,2,3"
+
+
+def test_apply_move_accepts_only_legal_moves():
+    # a White pawn on file 1, row 2, a Black pawn diagonally ahead of it
+    pos = BoardPosition(2, frozenset(), 1 << 1, 1 << 5, WHITE)
+    for mv in (Move(0, 2, 0, 1, False),   # backward
+               Move(0, 2, 1, 2, False),   # sideways
+               Move(0, 2, 1, 3, False),   # a capture not marked as one
+               Move(1, 3, 1, 2, False)):  # the rival's pawn
+        with pytest.raises(ValueError):
+            apply_move(pos, mv)
+    after = apply_move(pos, Move(0, 2, 1, 3, True))
+    assert (after.white, after.black, after.side_to_move) == (1 << 5, 0,
+                                                              BLACK)
 
 
 def test_move_notation():
