@@ -7,6 +7,11 @@ import types
 
 __version__ = "0.1.0"
 
+
+class KernelError(RuntimeError):
+    """The compiled phase-table fill can be neither loaded nor built."""
+
+
 # every public name loads its module on first access (PEP 562), so a
 # process imports only what it uses: `pawnnim --version` none of them,
 # the oracle and the embedder not numpy, which grundy imports
@@ -49,4 +54,4 @@ class _Package(types.ModuleType):
 sys.modules[__name__].__class__ = _Package
 
 
-__all__ = ["__version__", *_MODULE_OF]
+__all__ = ["__version__", "KernelError", *_MODULE_OF]

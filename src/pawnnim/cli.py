@@ -7,8 +7,10 @@ tables (recompute built-in regression tables and diff), embed (chessboard
 diagrams).
 
 Exit status: 0 on success, 1 when a computation disagrees with a built-in
-table or an invariant fails or standard output is closed early, 2 for
-usage or validation errors, 130 when interrupted (SIGINT, as by Ctrl-C).
+table or an invariant fails or standard output is closed early, or when
+the compiled phase-table kernel is not cached and cannot be built (no C
+compiler), 2 for usage or validation errors, 130 when interrupted
+(SIGINT, as by Ctrl-C).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from contextlib import contextmanager
 # each handler imports the modules it runs, so a process loads only what
 # its subcommand needs: --version no other package module, embed and the
 # oracle's searches not numpy, which grundy and experiments import
-from . import __version__
+from . import KernelError, __version__
 
 OK, MISMATCH, USAGE, INTERRUPTED = 0, 1, 2, 130
 
@@ -382,6 +384,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except KernelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return MISMATCH
     except KeyboardInterrupt:
         # _output has already removed its temporary file
         print("error: interrupted", file=sys.stderr)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .grundy import PeriodicTable, PeriodReport, _mex, detect_period
+from .grundy import PeriodicTable, PeriodReport, detect_period
 from .words import (PeriodicPattern, Word, count_words, enumerate_words,
                     require_valid)
 
@@ -79,6 +79,14 @@ def _mask_dtype(top: int):
     classes = 1 << top.bit_length()
     return (np.uint16 if classes < 16 else np.uint32 if classes < 32
             else np.uint64)
+
+
+def _mex(mask: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
+    """Write the lowest unset bit of each move mask to ``out``; ``mask`` is
+    overwritten and ``tmp`` is scratch of its dtype and length."""
+    np.add(mask, 1, out=tmp)
+    np.bitwise_and(np.invert(mask, out=mask), tmp, out=mask)
+    np.log2(mask, out=out, casting="unsafe")
 
 
 def _mapped(size: int, dtypes) -> list:
@@ -275,16 +283,34 @@ class ScanTables:
     def _run(self, items, work) -> None:
         """Call ``work`` on worker i's share ``items[i::workers]``: in the
         caller when there is one share, else one thread per share.  A
-        worker's exception reaches the caller."""
+        worker's exception reaches the caller.  An exception in a worker,
+        or one that ends the caller's wait (an interrupt), sets a stop flag
+        that the other workers read between items, so the caller goes on
+        once each has finished the item at hand."""
         shares = [items[i::self.workers]
                   for i in range(min(self.workers, len(items)))]
         if len(shares) < 2:
             work(items)
             return
         # imported here: it loads logging, which one-worker runs never need
+        import threading
         from concurrent.futures import ThreadPoolExecutor
+        from itertools import takewhile
+        stop = threading.Event()
+
+        def run(share):
+            try:
+                work(takewhile(lambda _: not stop.is_set(), share))
+            except BaseException:
+                stop.set()
+                raise
+
         with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-            list(pool.map(work, shares))
+            try:
+                list(pool.map(run, shares))
+            except BaseException:
+                stop.set()
+                raise
 
     def _eps_block(self, m: int, prefix: tuple, start: int, n: int, width,
                    right, steps, scratch: list, out: np.ndarray) -> None:

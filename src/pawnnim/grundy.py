@@ -5,12 +5,13 @@ the closed form for unstopped components; and period detection.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import reference
+from . import KernelError, reference
 from .words import PeriodicPattern, Word, require_valid
 
 
@@ -25,14 +26,6 @@ def mex(values) -> int:
         seen >>= 1
         m += 1
     return m
-
-
-def _mex(mask: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
-    """Write the lowest unset bit of each move mask to ``out``; ``mask`` is
-    overwritten and ``tmp`` is scratch of its dtype and length."""
-    np.add(mask, 1, out=tmp)
-    np.bitwise_and(np.invert(mask, out=mask), tmp, out=mask)
-    np.log2(mask, out=out, casting="unsafe")
 
 
 class GrundyTable:
@@ -149,16 +142,87 @@ class InsufficientTableError(ValueError):
 
 _SIDE_R, _SIDE_F, _LOONY = 1 << 28, 1 << 29, 1 << 30
 
+_KERNEL = None  # the loaded ``_fill.c``
 
-def _colon_entry(und, cap, adv, adv_u, loony_bits):
-    """Colon entries, per phase, of tails whose capture leaves a piece
-    worth ``cap``.  ``adv`` is the entry one file shorter that the advance
-    leaves, ``adv_u`` the entry two files shorter that a stopped colon
-    file (``und`` 1) leaves after its forced advance.  A plain colon file
-    is loony when adv is cap, a stopped one unless adv_u is cap; a loony
-    entry equals no value."""
-    loony = np.where(und, adv_u != cap, adv == cap)
-    return np.where(loony, cap | loony_bits, cap)
+
+def _kernel():
+    """The compiled fill: ``_fill.c``, built with ``cc`` on first use and
+    cached as ``_fill-<sha256 of the source>-<platform>.so`` in
+    ``$XDG_CACHE_HOME/pawnnim``, ``~/.cache/pawnnim`` by default."""
+    global _KERNEL
+    if _KERNEL is None:
+        import ctypes
+        import sysconfig
+        source = os.path.join(os.path.dirname(__file__), "_fill.c")
+        with open(source, "rb") as fh:
+            digest = _sha256(fh.read())
+        cache = os.path.join(os.path.expanduser(
+            os.environ.get("XDG_CACHE_HOME") or "~/.cache"), "pawnnim")
+        path = os.path.join(
+            cache, f"_fill-{digest}-{sysconfig.get_platform()}.so")
+        lib = (ctypes.CDLL(path) if os.path.exists(path)
+               else _compile(source, path))
+        # every call passes p, L and the row width, then array addresses
+        for name, arrays in (("fill", 7), ("colon", 6), ("moves", 3)):
+            fn = getattr(lib, name)
+            fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * arrays
+            fn.restype = None
+        _KERNEL = lib
+    return _KERNEL
+
+
+def _sha256(data: bytes) -> str:
+    """The sha256 of ``data`` in hex, from the interpreter's own module
+    where it has one: importing hashlib loads OpenSSL, which adds 3.6 MB
+    to the resident memory of every process that fills a table."""
+    from importlib import import_module
+    for name in ("_sha2", "_sha256", "hashlib"):  # _sha2 from Python 3.12
+        try:
+            return import_module(name).sha256(data).hexdigest()
+        except ImportError:
+            pass
+
+
+def _compile(source: str, path: str):
+    """Compile ``source`` to ``path`` and load it.  The library is written
+    to a temporary file beside ``path`` and renamed into place, so that
+    processes compiling at once each load a whole one; where that
+    directory cannot be written, it goes to a private temporary directory,
+    removed once the library is loaded.  Raises KernelError when there is
+    no ``cc`` or it fails."""
+    import ctypes
+    import shutil
+    import subprocess
+    import tempfile
+    cc = shutil.which("cc")
+    if cc is None:
+        raise KernelError(f"the phase-table kernel needs a C compiler: no cc "
+                          f"on PATH, and no build of {source} in "
+                          f"{os.path.dirname(path)}")
+    private = None
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+        os.close(fd)
+    except OSError:
+        private = tempfile.mkdtemp(prefix="pawnnim-")
+        tmp = os.path.join(private, os.path.basename(path))
+    try:
+        proc = subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", tmp,
+                               source], capture_output=True, text=True)
+        if proc.returncode:
+            detail = (proc.stderr.strip().splitlines() or ["no message"])[0]
+            raise KernelError(f"cc could not build the phase-table kernel "
+                              f"{source}: {detail}")
+        if private is None:
+            os.replace(tmp, path)
+            tmp = path
+        return ctypes.CDLL(tmp)
+    finally:
+        if private is not None:
+            shutil.rmtree(private, ignore_errors=True)
+        elif tmp != path and os.path.exists(tmp):  # a failed link removes it
+            os.remove(tmp)
 
 
 class PeriodicTable:
@@ -178,38 +242,30 @@ class PeriodicTable:
     A class that is not loony is that value.  ``save`` writes E alone, and
     ``CF`` and ``CR`` decode F and R by start phase, -1 for loony.
 
-    ``top`` is the largest value in E, kept by the fill and set by
-    ``load``; it picks the mex rule of the next length.  While it is below
-    32, every class is the XOR of two values below 32, so below 32 too,
-    and a row's mex is at most 32.  Then each move sets bit ``cls`` of a
-    uint32, where a loony class (at least ``_SIDE_R``) shifts past the 32
-    bits and sets none; the row's OR, widened to uint64 so that a full
-    mask gives 32, has the mex as its lowest unset bit (``_mex``).  uint32
-    and not uint64, because numpy first casts the shift counts to the
-    dtype of the shifted value: at (14, 2000) a uint64 shift and reduce
-    take three times as long.  From the first value of 32 on, each row's
-    classes are scattered into a bool array of L + 2 columns and the mex
-    is its first unset one.
+    The compiled kernel (``_fill.c``) states the move and colon rules: its
+    ``fill`` writes one length of all three arrays at every start phase,
+    ``colon`` the colon entries alone, for ``load``, and ``moves`` the
+    classes that ``move_classes`` returns.
     """
 
     def __init__(self, pattern: PeriodicPattern, max_length: int = 0):
+        self._kernel = _kernel()
         self.pattern = pattern
         self.p = p = pattern.period
-        # indices the fill reads at every length, made once per table:
-        # phases, flags and loony bits over two periods, so the (q + L) % p
-        # of all phases is the slice starting at L % p
         self._phases = np.arange(p, dtype=np.int32)
-        self._cycle = np.tile(self._phases, 2)
+        # flags and loony bits of each phase over two periods, so that
+        # phase (s + q) % p is index s + q for s, q < p
         self._flags2 = np.array([pattern.flag(q) for q in range(2 * p)],
-                                dtype=bool)
-        open2 = (~self._flags2).astype(np.int32)
+                                dtype=np.uint8)
+        open2 = 1 - self._flags2.astype(np.int32)
         self._r_loony = _LOONY | _SIDE_R * open2
         self._f_loony = _LOONY | _SIDE_F * open2
-        self.n = self.top = 0
+        self.n = 0
         self.E = np.zeros((p, 1), dtype=np.int32)
         # an empty tail is loony, and its capture leaves nothing, worth 0
         self.R = self._r_loony[p - 1:2 * p - 1, None].copy()
         self.F = self._f_loony[:p, None].copy()
+        self._grow(0)  # records the addresses the kernel reads
         if max_length:
             self.extend(max_length)
 
@@ -228,12 +284,15 @@ class PeriodicTable:
         if n <= self.n:
             return
         self._grow(n)
+        fill, p, args = self._kernel.fill, self.p, self._args
         for length in range(max(self.n + 1, 2), n + 1):
-            self._fill(length)
+            fill(p, length, *args)
         self.n = n
 
     def _grow(self, n: int) -> None:
-        """Widen E, R and F to lengths 0..n and seed length 1 if new."""
+        """Widen E, R and F to lengths 0..n, seed length 1 if new, and
+        record the row width and addresses the kernel reads: E, R, F, the
+        flags and loony bits, and a mex scratch of n + 2 bytes."""
         p, width = self.p, n + 1
         E, R, F = (np.zeros((p, width), dtype=np.int32) for _ in range(3))
         E[:, :self.n + 1] = self.E
@@ -243,89 +302,25 @@ class PeriodicTable:
         if self.n < 1 <= n:
             # a lone file is worth 1, and as a colon tail it is loony
             E[:, 1] = 1
-            self.top = max(self.top, 1)
             R[:, 1] = self._r_loony[:p]
             F[:, n - 1] = self._f_loony[p - 1:2 * p - 1]
+        self._seen = np.empty(n + 2, dtype=np.uint8)
+        self._args = (width, *(a.ctypes.data for a in (
+            E, R, F, self._flags2, self._r_loony, self._f_loony, self._seen)))
 
     def move_classes(self, L: int) -> np.ndarray:
         """Class of the move at each file of the length-L word at every
         start phase: a (p, L) array, -1 for loony.  Reads only lengths
         below L.  Raises ValueError unless 0 <= L <= n + 1 for a table of
         length n."""
-        # the arrays hold lengths 0..width - 1, ahead of n during a fill
-        width = self.E.shape[1]
+        # the arrays hold lengths 0..width - 1
+        width, _, R, F = self._args[:4]
         if not 0 <= L <= width:
             raise ValueError(f"L = {L} is outside 0..{width} for a table "
                              f"of length {width - 1}")
-        out = self._moves(L)
-        out[out >= _SIDE_R] = -1
+        out = np.empty((self.p, L), dtype=np.int32)
+        self._kernel.moves(self.p, L, width, R, F, out.ctypes.data)
         return out
-
-    def _moves(self, L: int) -> np.ndarray:
-        """The moves of the length-L words at every start phase: a class,
-        or at least ``_SIDE_R`` for loony.  An end move is the colon entry
-        of the rest of the word, loony with LOONY.  An interior move at file
-        k leaves the capture pieces of R[q, k] and of F of the tail from
-        file k + 1: its class is their exclusive or with LOONY cleared, and
-        it is loony exactly when a side bit survives.  Those tails all end
-        at file L - 1, so their F entries are a slice of end row (q + L) % p.
-        """
-        p = self.p
-        if L <= 1:
-            return np.zeros((p, L), dtype=np.int32)  # a move to 0
-        out = np.empty((p, L), dtype=np.int32)
-        width = self.E.shape[1]
-        F = self.F[:, width - L:width - 1]
-        # the end rows of all phases wrap past p - 1 at most once, so they
-        # are two row slices
-        split = p - L % p
-        inner = out[:, 1:L - 1]
-        for lo, hi, e in ((0, split, L % p), (split, p, 0)):
-            if lo < hi:
-                right = F[e:e + hi - lo]
-                out[lo:hi, 0] = right[:, 0]
-                np.bitwise_xor(self.R[lo:hi, 1:L - 1], right[:, 1:],
-                               out=inner[lo:hi])
-        np.bitwise_and(inner, ~_LOONY, out=inner)
-        out[:, L - 1] = self.R[:, L - 1]
-        return out
-
-    def _fill(self, L: int) -> None:
-        p, E = self.p, self.E
-        cls = self._moves(L)
-        if self.top < 32:
-            bits = cls.view(np.uint32)
-            np.left_shift(np.uint32(1), bits, out=bits)
-            mask = np.bitwise_or.reduce(bits, axis=1).astype(np.uint64)
-            _mex(mask, np.empty_like(mask), E[:, L])
-        else:
-            # L moves leave one of the values 0..L unused, and no class
-            # exceeds L (e1 ^ e2 <= e1 + e2 <= L - 3).  Loony moves land in
-            # the spare last column of their row.
-            np.minimum(cls, L + 1, out=cls)
-            cls += (L + 2) * self._phases[:, None]  # row offsets in seen
-            seen = np.zeros((p, L + 2), dtype=bool)
-            seen.ravel()[cls.ravel().astype(np.intp)] = True
-            E[:, L] = seen[:, :L + 1].argmin(axis=1)
-        self.top = max(self.top, *E[:, L].tolist())
-        self._colon(L)
-
-    def _colon(self, L: int) -> None:
-        """Write the colon entries of length L, for a fill or a load."""
-        p, E, R, F = self.p, self.E, self.R, self.F
-        # R's tail at start phase q has its colon file at q + L and its
-        # first file at q + L - 1; F's tail at end phase e starts at e - L
-        # behind the colon file e - L - 1, and its shorter entries share e
-        s, f = L % p, (L - 1) % p
-        R[:, L] = _colon_entry(self._flags2[s:s + p], E[:, L - 1],
-                               R[:, L - 1], R[:, L - 2],
-                               self._r_loony[f:f + p])
-        t, u, c = -L % p, (-L - 1) % p, (1 - L) % p
-        col = F.shape[1] - 1 - L
-        F[:, col] = _colon_entry(self._flags2[u:u + p],
-                                 E[self._cycle[c:c + p], L - 1],
-                                 F[:, col + 1], F[:, col + 2],
-                                 self._f_loony[t:t + p])
 
     def values(self) -> np.ndarray:
         """Component values for lengths 0..n at the pattern's file origin."""
@@ -340,7 +335,7 @@ class PeriodicTable:
     @classmethod
     def load(cls, path) -> "PeriodicTable":
         """Read back a table written by ``save``; R and F come from E through
-        the fill's ``_colon``.  Raises ValueError unless the file holds just
+        the kernel's ``colon``.  Raises ValueError unless the file holds just
         the fields ``save`` writes, n, period and file_origin are integer
         scalars, stopped is a 1-d integer array, n >= 0, E is a signed
         integer array of shape (period, n + 1) and E[q, l] lies in 0..l."""
@@ -371,9 +366,10 @@ class PeriodicTable:
         table = cls(pattern)
         table._grow(n)
         table.E[:] = E
+        colon, args = table._kernel.colon, table._args[:-1]
         for length in range(2, n + 1):
-            table._colon(length)
-        table.n, table.top = n, int(E.max())
+            colon(pattern.period, length, *args)
+        table.n = n
         return table
 
 

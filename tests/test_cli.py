@@ -206,12 +206,12 @@ def test_main_defaults_openblas_to_one_thread(preset, expected):
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["--version"], ("dataclasses", "numpy")),
+    (["--version"], ("dataclasses", "numpy", "ctypes")),
     (["embed", "--words", "1000"],
      ("pawnnim.oracle", "pawnnim.engine", "pawnnim.grundy",
-      "pawnnim.experiments")),
+      "pawnnim.experiments", "ctypes")),
     (["oracle", "--word", "10"],
-     ("pawnnim.embed", "pawnnim.engine", "pawnnim.grundy")),
+     ("pawnnim.embed", "pawnnim.engine", "pawnnim.grundy", "ctypes")),
     (["eval", "0101"],
      ("pawnnim.oracle", "pawnnim.embed", "pawnnim.experiments")),
 ])
@@ -229,6 +229,38 @@ def test_subcommands_import_only_what_they_run(argv, absent):
         assert {m for m in loaded if m.startswith("pawnnim")} == {
             "pawnnim", "pawnnim.cli"}
     assert loaded.isdisjoint(absent), loaded & set(absent)
+
+
+@pytest.mark.parametrize("cc, message", [
+    (None, "the phase-table kernel needs a C compiler: no cc on PATH"),
+    ("echo 'fatal: no room' >&2; exit 1",
+     "cc could not build the phase-table kernel"),
+], ids=["no-cc", "cc-fails"])
+def test_missing_compiler_is_one_line_exit_1(cc, message, tmp_path):
+    # nothing cached, and no cc on PATH or one that fails: the phase-table
+    # kernel cannot be built, which the CLI reports in one line, leaving
+    # nothing in the cache; --version needs no kernel
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    if cc is not None:
+        (bin_dir / "cc").write_text(f"#!/bin/sh\n{cc}\n")
+        (bin_dir / "cc").chmod(0o755)
+    env = dict(_package_env(), PATH="" if cc is None else str(bin_dir),
+               XDG_CACHE_HOME=str(tmp_path / "cache"))
+    cmd = [sys.executable, "-m", "pawnnim.cli"]
+    proc = subprocess.run(cmd + ["periodic", "--period", "6", "--stopped",
+                                 "4", "--max-length", "60"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: " + message), proc.stderr
+    if cc is not None:
+        assert proc.stderr.endswith(": fatal: no room\n")
+        assert os.listdir(tmp_path / "cache" / "pawnnim") == []
+    proc = subprocess.run(cmd + ["--version"], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.startswith("pawnnim ")
 
 
 def test_package_exports_resolve():

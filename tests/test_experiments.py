@@ -3,17 +3,18 @@ import io
 import json
 import sys
 import threading
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from pawnnim.experiments import (ScanTables, write_report as _write,
-                                 _mask_dtype, first_occurrence,
+                                 _mask_dtype, _mex, first_occurrence,
                                  periodic_scan,
                                  power_milestones, two_sig_figs,
                                  value_distribution)
-from pawnnim.grundy import GrundyTable, _mex, epsilon
+from pawnnim.grundy import GrundyTable, epsilon
 from pawnnim.words import PeriodicPattern, Word, count_words, enumerate_words
 
 
@@ -157,6 +158,44 @@ def test_a_failing_block_reaches_the_caller():
     assert len(st._blocks(10)) > 2 and st.max_length == 9
     # the failed tier built the colon tier it reads and dropped the values
     # that tier holds; a second try goes on from there
+    st._eps_block = kernel
+    st.build(12)
+    ref = ScanTables()
+    ref.build(12)
+    _assert_same_tables(st, ref)
+
+
+def test_an_interrupted_worker_stops_the_other_shares():
+    # worker 0 is interrupted in its first block of tier 12 while worker 1
+    # is in its first; worker 1 then reads the stop flag and starts no
+    # other block of its share, and the interrupt reaches the caller
+    st = ScanTables(chunk_size=20, workers=2)
+    st.build(11)
+    st._count(12)
+    blocks = st._blocks(12)
+    share1 = {start for _, start, _ in blocks[1::2]}
+    assert len(share1) >= 3
+    kernel = st._eps_block
+    started, interrupted = threading.Event(), threading.Event()
+    ran = []
+
+    def block(m, prefix, start, *args):
+        if start == blocks[0][1]:
+            assert started.wait(30)
+            interrupted.set()
+            raise KeyboardInterrupt
+        if start in share1:
+            ran.append(start)
+            started.set()
+            assert interrupted.wait(30)
+            time.sleep(0.2)  # the interrupted worker sets the flag
+        kernel(m, prefix, start, *args)
+
+    st._eps_block = block
+    with pytest.raises(KeyboardInterrupt):
+        st.build(12)
+    assert ran == [blocks[1][1]] and st.max_length == 11
+    # the next build goes on from the colon tier the interrupted one built
     st._eps_block = kernel
     st.build(12)
     ref = ScanTables()

@@ -1,11 +1,15 @@
 import gc
 import hashlib
 import io
+import os
 import random
+import sysconfig
+import tempfile
 
 import numpy as np
 import pytest
 
+from pawnnim import grundy
 from pawnnim.engine import classify_move
 from pawnnim.experiments import ScanTables, periodic_scan, write_report
 from pawnnim.grundy import (GrundyTable, InsufficientTableError,
@@ -14,6 +18,8 @@ from pawnnim.grundy import (GrundyTable, InsufficientTableError,
                             verify_period_window)
 from pawnnim.words import PeriodicPattern, Word, enumerate_words, \
     word_from_pattern
+
+import reference_fill
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +299,7 @@ def _assert_same_table(got, fresh, n):
                               getattr(fresh, name)[:, :n + 1]), (name, n)
     # F's length axis is reversed, so lengths 0..n are its last columns
     assert np.array_equal(got.F, fresh.F[:, fresh.F.shape[1] - n - 1:]), n
-    assert got.n == n and got.top == int(fresh.E[:, :n + 1].max()), n
+    assert got.n == n, n
     # move_classes reads lengths below L, so a table of length n serves
     # every L up to n + 1
     for L in sorted({0, 1, 2, 3, n // 2, n, n + 1} & set(range(n + 2))):
@@ -301,19 +307,21 @@ def _assert_same_table(got, fresh, n):
             (L, n)
 
 
-@pytest.mark.parametrize("pattern", [
+_PATTERNS = pytest.mark.parametrize("pattern", [
     PeriodicPattern(1, frozenset()),
     PeriodicPattern(6, frozenset({4})),
     PeriodicPattern(14, frozenset({0, 5})),
     PeriodicPattern(5, frozenset({2}), file_origin=3),
     _PADDED20,
 ], ids=["p1", "p6", "p14", "p5-origin3", "padded20"])
+
+
+@_PATTERNS
 def test_periodic_table_extend_matches_fresh(pattern, tmp_path):
     # F is copied into the right-hand columns whenever the table grows, and
     # load fills R and F from E alone; growing in steps, or from a loaded
     # table, must match a one-shot fill.  p6 first reaches *32 at length
-    # 202, where the fill leaves the bitmask mex, so the save at 210 needs
-    # the loaded table to know its largest value
+    # 202
     fresh = PeriodicTable(pattern, 260)
     grown = PeriodicTable(pattern)
     for n in (0, 1, 2, 3, 37, 201, 202, 260):
@@ -330,22 +338,67 @@ def test_periodic_table_extend_matches_fresh(pattern, tmp_path):
 _P6 = PeriodicPattern(6, frozenset({4}))
 
 
-@pytest.mark.parametrize("pattern", [
-    _P6, PeriodicPattern(14, frozenset({0, 5}))], ids=["p6", "p14"])
-def test_periodic_table_top_is_recorded(pattern, tmp_path):
-    # top picks the mex rule of the next length: the bitmask while every
-    # value is below 32, the scatter from p6's first *32 at length 202 on;
-    # the mod-14 family stays below 32
-    fresh = PeriodicTable(pattern, 260)
-    assert (fresh.top >= 32) == (pattern == _P6)
-    stepped = PeriodicTable(pattern)
-    for n in (1, 2, 201, 202, 203, 260):
-        stepped.extend(n)
-        assert stepped.top == int(stepped.E.max()), n
-    path = tmp_path / "table.npz"
-    PeriodicTable(pattern, 210).save(path)
-    for table in (fresh, PeriodicTable.load(path)):
-        assert table.top == int(table.E.max())
+def _assert_matches_reference(table, n):
+    E, R, F = reference_fill.fill(table.pattern, n)
+    for name, want in (("E", E), ("R", R), ("F", F)):
+        assert np.array_equal(getattr(table, name), want), (name, n)
+    return R, F
+
+
+@_PATTERNS
+def test_kernel_matches_reference_fill(pattern):
+    # the compiled fill against the numpy one in tests/reference_fill.py,
+    # past p6's first *32 at length 202; move_classes reads lengths below
+    # L, so a table of length n classifies every L up to n + 1
+    n = 260
+    table = PeriodicTable(pattern, n)
+    assert (table.E.max() >= 32) == (pattern == _P6)
+    R, F = _assert_matches_reference(table, n)
+    for L in range(n + 2):
+        assert np.array_equal(table.move_classes(L),
+                              reference_fill.move_classes(R, F, L)), L
+
+
+@pytest.mark.slow
+def test_kernel_matches_reference_fill_p6_21208():
+    # the reference fill takes about 13 s here, the kernel under 1 s
+    n = 21208
+    table = PeriodicTable(_P6, n)
+    R, F = _assert_matches_reference(table, n)
+    for L in (2, 3, 202, 10007, n, n + 1):
+        assert np.array_equal(table.move_classes(L),
+                              reference_fill.move_classes(R, F, L)), L
+
+
+@pytest.mark.parametrize("writable", [True, False])
+def test_kernel_build(writable, tmp_path, monkeypatch):
+    # a fresh cache gets one library named by the digest of the source and
+    # the platform, and no temporary file; a cache that cannot be written
+    # (here a path under a regular file) gets nothing, and the build goes
+    # to a private directory that is removed once the library is loaded
+    source = os.path.join(os.path.dirname(grundy.__file__), "_fill.c")
+    with open(source, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    cache = tmp_path / "cache"
+    if not writable:
+        cache.write_text("")
+        cache = cache / "sub"
+    private = tmp_path / "tmp"
+    private.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(tempfile, "tempdir", str(private))
+    monkeypatch.setattr(grundy, "_KERNEL", None)
+    kernel = grundy._kernel()
+    assert grundy._kernel() is kernel
+    if writable:
+        assert os.listdir(cache / "pawnnim") == [
+            f"_fill-{digest}-{sysconfig.get_platform()}.so"]
+    else:
+        assert not cache.exists()
+    assert os.listdir(private) == []
+    table = PeriodicTable(_P6, 40)
+    assert table._kernel is kernel
+    assert np.array_equal(table.E, reference_fill.fill(_P6, 40)[0])
 
 
 def test_single_words_across_the_mex_switch():
@@ -456,7 +509,7 @@ def test_periodic_table_long_save_load(tmp_path):
     back = PeriodicTable.load(path)
     for name in ("E", "R", "F"):
         assert np.array_equal(getattr(back, name), getattr(t, name)), name
-    assert back.n == t.n and back.top == t.top
+    assert back.n == t.n
 
 
 @pytest.mark.parametrize("pattern, digest", [
