@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 
 class KernelError(RuntimeError):
-    """The compiled phase-table fill can be neither loaded nor built."""
+    """The compiled kernel can be neither loaded nor built."""
 
 
 # every public name loads its module on first access (PEP 562), so a

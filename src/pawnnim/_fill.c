@@ -1,5 +1,5 @@
-/* The per-length fill of pawnnim.grundy.PeriodicTable: the moves, the mex
-   and the colon entries of every start phase.
+/* fill, colon and moves fill pawnnim.grundy.PeriodicTable a length at a
+   time: the moves, the mex and the colon entries of every start phase.
 
    E, R and F are p x width int32 arrays in C order.  E[q, l] is the value
    of the length-l subword at start phase q, R[q, l] the colon entry of that
@@ -121,5 +121,94 @@ void moves(int64_t p, int64_t L, int64_t width, const int32_t *R,
         for (int64_t k = 1; k < L - 1; k++)
             out[k] = class(interior(r, f, k));
         out[L - 1] = class(r[L - 1]);
+    }
+}
+
+/* The scan_ functions fill a tier of pawnnim.experiments.ScanTables,
+   whose docstring lays out its tables; C holds the word counts and cl[t]
+   the colon tier CL[t].  A move sets its class's bit in a value mask: an
+   end move's colon byte is its class below 64, else loony, and an
+   interior move is loony when bit 6 of either side's byte is set. */
+static inline uint64_t end_bit(uint8_t b)
+{
+    return (uint64_t)(b < 64) << (b & 63);
+}
+
+static inline uint64_t interior_bit(uint8_t l, uint8_t r)
+{
+    return (uint64_t)!((l | r) & 64) << ((l ^ r) & 63);
+}
+
+/* Write row k - j of steps and right, by suffix rank, for each suffix
+   file k of tier m: the rank of the reversed word up to k less the
+   reversed prefix's, and the colon byte of w[k:] (read if k is interior). */
+void scan_suffix(int64_t m, int64_t j, const int64_t *C,
+                 const uint8_t *const *cl, int32_t *steps, uint8_t *right)
+{
+    int64_t size = C[m - j];
+    for (int64_t i = 0; i < size; i++) {
+        int64_t s = i;  /* the rank of the suffix from file k on */
+        int32_t step = 0;
+        for (int64_t k = j; k < m; k++) {
+            int64_t row = (k - j) * size + i, d = s >= C[m - 1 - k];
+            right[row] = cl[m - k - 1][s];
+            step += (int32_t)(d * C[k]);  /* d: file k is stopped */
+            steps[row] = step;
+            s -= d * C[m - 1 - k];
+        }
+    }
+}
+
+/* Write out[start .. start + n), the values of a block of tier m >= 2
+   with a j-file prefix, a flag per byte.  Each file's moves are folded
+   into mask, n words of scratch, in one pass over the block; a value is
+   the lowest bit its mask lacks (m < 64 moves set m bits at most). */
+void scan_block(int64_t m, int64_t j, int64_t start, int64_t n,
+                const int64_t *C, const uint8_t *const *cl,
+                const int32_t *steps, const uint8_t *right,
+                const uint8_t *prefix, uint64_t *mask, int8_t *out)
+{
+    int64_t size = C[m - j], off = start, rho = 0;
+    for (int64_t i = 0; i < n; i++)  /* file 0's colon word is the word */
+        mask[i] = end_bit(cl[m - 1][start + i]);
+    /* word i from prefix file k on has rank off + i, and every word's
+       reversed prefix up to k has rank rho */
+    for (int64_t k = 0; k < j; k++) {
+        rho += prefix[k] * C[k];
+        uint8_t l = cl[k][rho];
+        if (0 < k && k < m - 1 && !(l & 64))  /* else every move is loony */
+            for (int64_t i = 0; i < n; i++)
+                mask[i] |= interior_bit(l, cl[m - k - 1][off + i]);
+        off -= prefix[k] * C[m - 1 - k];
+    }
+    for (int64_t k = j > 1 ? j : 1; k < m - 1; k++) {
+        const uint8_t *l = cl[k] + rho, *r = right + (k - j) * size;
+        const int32_t *step = steps + (k - j) * size;
+        for (int64_t i = 0; i < n; i++)
+            mask[i] |= interior_bit(l[step[i]], r[i]);
+    }
+    /* file m - 1's colon word is the reversed word (rho if j is m) */
+    const uint8_t *rev = cl[m - 1] + rho;
+    for (int64_t i = 0; i < n; i++)
+        mask[i] |= end_bit(rev[j < m ? steps[(m - 1 - j) * size + i] : 0]);
+    for (int64_t i = 0; i < n; i++)
+        out[start + i] = (int8_t)__builtin_ctzll(~mask[i]);
+}
+
+/* Write CL[m], m >= 2, at the tails of ranks lo .. hi - 1 from eps, the
+   values of length m - 1; tails below n_open = C[m - 1] start open.  The
+   colon word of a stopped colon file has rank stopped + r, and its
+   forced advance leaves the colon word tail[1:], of rank r in adv_u =
+   CL[m - 2]; an open one's advance leaves tail, of rank r in adv. */
+void scan_colon(int64_t lo, int64_t hi, int64_t n_open, int64_t stopped,
+                const int8_t *eps, const uint8_t *adv, const uint8_t *adv_u,
+                uint8_t *out)
+{
+    for (int64_t r = lo; r < hi; r++) {
+        int open = r < n_open;
+        int32_t cap = eps[open ? r : r - n_open];  /* tail[1:] */
+        out[r] = (uint8_t)colon_entry(0, cap, adv[r], 0, open ? 192 : 128);
+        if (open)
+            out[stopped + r] = (uint8_t)colon_entry(1, cap, 0, adv_u[r], 192);
     }
 }

@@ -8,9 +8,9 @@ diagrams).
 
 Exit status: 0 on success, 1 when a computation disagrees with a built-in
 table or an invariant fails or standard output is closed early, or when
-the compiled phase-table kernel is not cached and cannot be built (no C
-compiler), 2 for usage or validation errors, 130 when interrupted
-(SIGINT, as by Ctrl-C).
+the compiled kernel is not cached and cannot be built (no C compiler), 2
+for usage or validation errors, 130 when interrupted (SIGINT, as by
+Ctrl-C).
 """
 
 from __future__ import annotations

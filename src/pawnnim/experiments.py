@@ -5,13 +5,14 @@ power-of-two milestones.
 The exhaustive engine stores one value array per word length, indexed by
 lexicographic rank.  Rank doubles as a content key, and the ranks of a
 word's suffixes and reversed prefixes obey one-step recurrences in the
-Fibonacci base, so a full sweep of length m costs O(m) array operations
-per word with every subword value shared across words.  The words of one
+Fibonacci base, so a full sweep of length m costs O(m) operations per
+word with every subword value shared across words.  The words of one
 length that share their first files are a run of consecutive ranks, and a
 length is filled in such blocks: a move on a shared file reads one side
 as a slice and the other as a single byte.  The remaining files are the
 same suffixes in every block, so their rank steps and right sides are
-computed once per length, and a move there gathers one byte.
+computed once per length, and a move there gathers one byte.  The
+compiled kernel ``_fill.c`` does the arithmetic of every block.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .grundy import PeriodicTable, PeriodReport, detect_period
+from .grundy import PeriodicTable, PeriodReport, _kernel, detect_period
 from .words import (PeriodicPattern, Word, count_words, enumerate_words,
                     require_valid)
 
-MAX_SCAN_LENGTH = 60  # value bitmasks live in uint64
+MAX_SCAN_LENGTH = 44  # rank steps are int32, and C[44] < 2^31 <= C[45]
 
 
 @dataclass
@@ -67,28 +68,6 @@ def two_sig_figs(x: float) -> float:
     return round(x, 1 - int(math.floor(math.log10(abs(x)))))
 
 
-def _mask_dtype(top: int):
-    """Move-mask dtype for a tier whose pieces have values up to ``top``.
-
-    A class is the XOR of two such values, so it is below 2^b for b the
-    bit length of ``top``, and the mex is 2^b when every such class is
-    present: uint16 holds bit 8 and uint32 bit 16.  Above that the mask is
-    uint64, whose 64 bits can hold classes up to 63 but no mex bit beyond
-    them.  None is needed: the mex is at most the number of moves, m <= 60,
-    so m moves never set all 64 bits and ``mask + 1`` never wraps."""
-    classes = 1 << top.bit_length()
-    return (np.uint16 if classes < 16 else np.uint32 if classes < 32
-            else np.uint64)
-
-
-def _mex(mask: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
-    """Write the lowest unset bit of each move mask to ``out``; ``mask`` is
-    overwritten and ``tmp`` is scratch of its dtype and length."""
-    np.add(mask, 1, out=tmp)
-    np.bitwise_and(np.invert(mask, out=mask), tmp, out=mask)
-    np.log2(mask, out=out, casting="unsafe")
-
-
 def _mapped(size: int, dtypes) -> list:
     """Arrays of ``size`` entries, one of each dtype, as views of one
     anonymous memory map, which goes back to the system when the last view
@@ -116,15 +95,13 @@ class ScanTables:
 
     A colon class that is not loony is the value of u[2:], so a byte below
     64 is the class itself.  An end move reads CL[m - 1] at the rank of the
-    word or of its reverse, and folds a loony byte as a shift past the
-    mask's width, which numpy defines as 0.  An interior move at file k
-    leaves a piece on each side, and a side is loony when bit 6 is set.
-    The right side r is CL[m - k - 1] at the rank of w[k:]; the left side l
-    is CL[k] at the rank of reversed w[:k+1], whose piece is the reverse of
-    w[:k-1] and has its value.  The class is ``(l & 127) ^ r2``, for r2 the
-    byte r with bit 7 cleared unless bit 6 is set; it is 64 or more when a
-    side is loony.  The colon entries of ``PeriodicTable`` carry the same
-    information, in int32 with the loony and side bits above the value.
+    word or of its reverse.  An interior move at file k leaves a piece on
+    each side.  The right side r is CL[m - k - 1] at the rank of w[k:]; the
+    left side l is CL[k] at the rank of reversed w[:k+1], whose piece is
+    the reverse of w[:k-1] and has its value.  The move is loony when bit 6
+    of l or r is set, else its class is ``(l ^ r) & 63``.  The colon
+    entries of ``PeriodicTable`` carry the same information in int32, and
+    ``_fill.c`` writes both through one colon rule.
 
     The colon byte of the word 0 + w holds the value of w in bits 0-5, so
     the values of length m are ``CL[m + 1][:C[m]] & 63``.  After a build
@@ -145,19 +122,16 @@ class ScanTables:
     side as a slice of CL[m - k - 1] and its left side as one byte of CL[k]
     at the rank of reversed p[:k+1].  The rest of word i is the suffix of
     rank i in every block, so a tier computes once, for each suffix file k,
-    the byte r2 and the step from the rank rho of reversed p to that of
+    the byte r and the step from the rank rho of reversed p to that of
     reversed w[:k+1], and a block's move at k gathers only CL[k][rho +
-    step].  That takes a byte and a step, int32 through length 44, per
-    suffix file and rank: 3.0 MB at the default 2^15, where blocks hold at
-    most 28,657 words of 21 suffix files.  With w workers, worker i fills
-    blocks i, i + w, i + 2w, ... in its own thread, and allocates its own
-    scratch once: the move mask, its temporary and a uint8 array, 5 to 17
-    bytes per rank of the largest block; the mask is uint16, uint32 or
-    uint64, the narrowest that holds every class of the tier
-    (``_mask_dtype``).  A colon tier CL[m] is written in chunks of
-    ``chunk_size`` tail ranks, shared out the same way; a chunk reads no
-    prefix.  Blocks and chunks are independent, so worker threads and
-    sequential runs produce identical tables.
+    step].  That takes a byte and an int32 step per suffix file and rank:
+    3.0 MB at the default 2^15, where blocks hold at most 28,657 words of
+    21 suffix files.  With w workers, worker i fills blocks i, i + w,
+    i + 2w, ... in its own thread, with scratch of its own, and the
+    threads run in parallel, since the kernel runs without the interpreter
+    lock.  A colon tier CL[m] is written in chunks of ``chunk_size`` tail
+    ranks, shared out the same way.  Blocks and chunks are independent, so
+    worker threads and sequential runs produce identical tables.
     """
 
     def __init__(self, chunk_size: int = 1 << 15, workers: int = 1):
@@ -168,6 +142,7 @@ class ScanTables:
             raise ValueError(f"workers must be at least 1, got {workers}")
         self.chunk_size = chunk_size
         self.workers = workers
+        self._kernel = _kernel()  # loaded here, before any worker starts
         self.C = [1, 2]  # valid word counts by length
         self.EPS = [np.zeros(1, dtype=np.int8)]
         self.CL = [np.full(2, 128, dtype=np.uint8)]  # 0 and 1 have no u[1]
@@ -209,7 +184,21 @@ class ScanTables:
         if m == 1:
             eps[:] = 1
         else:
-            self._eps_blocks(m, self._blocks(m), eps)
+            blocks = self._blocks(m)
+            j = len(blocks[0][0])
+            size = self.C[m - j]  # the first block's, the largest
+            steps, right = _mapped((m - j) * size, (np.int32, np.uint8))
+            counts = np.array(self.C, dtype=np.int64)
+            cls = np.array([a.ctypes.data for a in self.CL], dtype=np.uintp)
+            tier = tuple(a.ctypes.data for a in (counts, cls, steps, right))
+            self._kernel.scan_suffix(m, j, *tier)
+
+            def fill(share):
+                mask, = _mapped(size, (np.uint64,))
+                for block in share:
+                    self._eps_block(m, *block, tier, mask, eps)
+
+            self._run(blocks, fill)
         self.EPS.append(eps)
         self.top.append(int(eps.max()))
 
@@ -222,9 +211,12 @@ class ScanTables:
             # stopped u[1]
             cl[:] = (192, 128, 192)
         else:
+            args = (C[m - 1], C[m], *(a.ctypes.data for a in (
+                self.EPS[m - 1], self.CL[m - 1], self.CL[m - 2], cl)))
+
             def fill(share):
                 for lo in share:
-                    self._cl_block(m, lo, min(lo + size, C[m]), cl)
+                    self._kernel.scan_colon(lo, min(lo + size, C[m]), *args)
 
             self._run(range(0, C[m], size), fill)
         self.CL.append(cl)
@@ -242,43 +234,6 @@ class ScanTables:
             blocks.append((tuple(prefix), start, n))
             start += n
         return blocks
-
-    def _eps_blocks(self, m: int, blocks: list, out: np.ndarray) -> None:
-        """Fill ``out`` with the values of tier m, block by block.  Row
-        k - j of ``right`` and ``steps`` holds suffix file k's r2 and step
-        by suffix rank; all arrays are freed before the colon table is
-        written."""
-        C, CL = self.C, self.CL
-        size = max(n for _, _, n in blocks)
-        j = len(blocks[0][0])
-        # the narrowest signed dtype holding C[m]
-        steps, right = (a.reshape(m - j, size) for a in _mapped(
-            (m - j) * size, (np.min_scalar_type(-C[m] - 1), np.uint8)))
-        s, d = _mapped(size, (np.intp, np.intp))
-        s[:] = np.arange(size)  # rank of the suffix w[k:]
-        u = d.view(np.uint8)[:size]
-        for i, k in enumerate(range(j, m)):
-            if 0 < k < m - 1:
-                r = np.take(CL[m - k - 1], s, out=right[i], mode="clip")
-                # r2 = r & ((r << 1) | 127): bit 6 keeps bit 7
-                np.left_shift(r, 1, out=u)
-                np.bitwise_and(r, np.bitwise_or(u, 127, out=u), out=r)
-            # w[k] is stopped exactly when w[k:] has rank >= C[m-1-k]
-            np.greater_equal(s, C[m - 1 - k], out=d)
-            np.multiply(d, C[k], out=steps[i])
-            if i:
-                np.add(steps[i], steps[i - 1], out=steps[i])
-            np.subtract(s, np.multiply(d, C[m - 1 - k], out=d), out=s)
-        del s, d, u  # unmapped before the scratch is
-        # the pieces of a move have at most m - 2 files
-        width = _mask_dtype(max(self.top[:m - 1]))
-
-        def fill(share):
-            scratch = _mapped(size, (width, width, np.uint8))
-            for block in share:
-                self._eps_block(m, *block, width, right, steps, scratch, out)
-
-        self._run(blocks, fill)
 
     def _run(self, items, work) -> None:
         """Call ``work`` on worker i's share ``items[i::workers]``: in the
@@ -312,65 +267,11 @@ class ScanTables:
                 stop.set()
                 raise
 
-    def _eps_block(self, m: int, prefix: tuple, start: int, n: int, width,
-                   right, steps, scratch: list, out: np.ndarray) -> None:
-        C, CL = self.C, self.CL
-        # bit v of a mask: some move is worth v
-        mask, tmp, left = (a[:n] for a in scratch)
-        one = width(1)
-
-        def fold(cls):
-            np.left_shift(one, cls, out=tmp)
-            np.bitwise_or(mask, tmp, out=mask)
-
-        # end move at file 0: colon file w[0] with tail w[1:] is the word
-        np.left_shift(one, CL[m - 1][start:start + n], out=mask)
-        # the moves at prefix files: w[k:] has rank off + i for word i, and
-        # reversed w[:k+1] is reversed p[:k+1] for every word
-        off, rho = start, 0
-        for k, flag in enumerate(prefix):
-            rho += flag * C[k]
-            if 0 < k < m - 1:
-                lbyte = int(CL[k][rho])
-                if not lbyte & 64:  # else every class of the move is loony
-                    np.bitwise_xor(CL[m - k - 1][off:off + n], lbyte & 63,
-                                   out=left)
-                    fold(np.bitwise_and(left, 127, out=left))
-            off -= flag * C[m - 1 - k]
-        # suffix files: word i has the suffix of rank i
-        j = len(prefix)
-        for k in range(max(j, 1), m - 1):
-            # ranks are in range by construction; clip mode spares the
-            # buffered copy that mode="raise" makes of ``out``
-            np.take(CL[k][rho:], steps[k - j][:n], out=left, mode="clip")
-            np.bitwise_and(left, 127, out=left)
-            fold(np.bitwise_xor(left, right[k - j][:n], out=left))
-        # mirror end move: file m-1, tail reversed w[:m-1] (w is p if j == m)
-        rev = CL[m - 1][rho:]
-        fold(rev[:n] if j == m else
-             np.take(rev, steps[-1][:n], out=left, mode="clip"))
-        _mex(mask, tmp, out[start:start + n])
-
-    def _cl_block(self, m: int, lo: int, hi: int, out: np.ndarray) -> None:
-        C, EPS, CL = self.C, self.EPS, self.CL
-        # tails starting with 0 (rank < C[m-1]) and with 1 are two slices;
-        # a tail's rank indexes its own colon byte at m - 1, and cap is the
-        # value of tail[1:], which is u[2:]
-        mid = min(max(C[m - 1], lo), hi)
-        cap = np.concatenate((EPS[m - 1][lo:mid],
-                              EPS[m - 1][mid - C[m - 1]:hi - C[m - 1]]
-                              )).view(np.uint8)
-        # open colon file: loony when the advance is worth the capture.  A
-        # loony byte is at least 128 and equals no value
-        loony = (CL[m - 1][lo:hi] == cap).view(np.uint8)
-        out[lo:hi] = cap | loony << 7
-        out[lo:mid] |= loony[:mid - lo] << 6  # u[1] = tail[0] is open
-        # stopped colon file: the tail starts with 0, and the forced advance
-        # leaves the colon file tail[1] with tail tail[2:]
-        cap_u = cap[:mid - lo]
-        loony_u = (CL[m - 2][lo:mid] != cap_u).view(np.uint8)
-        # u[1] = tail[0] is open, so a loony class sets both bits
-        out[C[m] + lo:C[m] + mid] = cap_u | loony_u * 192
+    def _eps_block(self, m: int, prefix: tuple, start: int, n: int,
+                   tier: tuple, mask: np.ndarray, out: np.ndarray) -> None:
+        self._kernel.scan_block(m, len(prefix), start, n, *tier,
+                                bytes(prefix), mask.ctypes.data,
+                                out.ctypes.data)
 
     # -- queries ------------------------------------------------------------
 

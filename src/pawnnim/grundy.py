@@ -160,12 +160,16 @@ def _kernel():
             os.environ.get("XDG_CACHE_HOME") or "~/.cache"), "pawnnim")
         path = os.path.join(
             cache, f"_fill-{digest}-{sysconfig.get_platform()}.so")
-        lib = (ctypes.CDLL(path) if os.path.exists(path)
-               else _compile(source, path))
-        # every call passes p, L and the row width, then array addresses
-        for name, arrays in (("fill", 7), ("colon", 6), ("moves", 3)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # not built yet, or a damaged build
+            lib = _compile(source, path)
+        # every call passes integers, then array addresses
+        for name, ints, arrays in (("fill", 3, 7), ("colon", 3, 6),
+                                   ("moves", 3, 3), ("scan_suffix", 2, 4),
+                                   ("scan_block", 4, 7), ("scan_colon", 4, 4)):
             fn = getattr(lib, name)
-            fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * arrays
+            fn.argtypes = [ctypes.c_int64] * ints + [ctypes.c_void_p] * arrays
             fn.restype = None
         _KERNEL = lib
     return _KERNEL
@@ -184,20 +188,20 @@ def _sha256(data: bytes) -> str:
 
 
 def _compile(source: str, path: str):
-    """Compile ``source`` to ``path`` and load it.  The library is written
-    to a temporary file beside ``path`` and renamed into place, so that
-    processes compiling at once each load a whole one; where that
-    directory cannot be written, it goes to a private temporary directory,
-    removed once the library is loaded.  Raises KernelError when there is
-    no ``cc`` or it fails."""
+    """Compile ``source`` to ``path`` and load it.  The library is built
+    beside ``path``, loaded and renamed into place, so that processes
+    compiling at once each load a whole one, or where that directory
+    cannot be written, in a private temporary directory removed once it is
+    loaded.  Raises KernelError if cc is missing, fails or builds nothing
+    loadable."""
     import ctypes
     import shutil
     import subprocess
     import tempfile
     cc = shutil.which("cc")
     if cc is None:
-        raise KernelError(f"the phase-table kernel needs a C compiler: no cc "
-                          f"on PATH, and no build of {source} in "
+        raise KernelError(f"the compiled kernel needs a C compiler: no cc "
+                          f"on PATH, and no loadable build of {source} in "
                           f"{os.path.dirname(path)}")
     private = None
     try:
@@ -212,12 +216,16 @@ def _compile(source: str, path: str):
                                source], capture_output=True, text=True)
         if proc.returncode:
             detail = (proc.stderr.strip().splitlines() or ["no message"])[0]
-            raise KernelError(f"cc could not build the phase-table kernel "
+            raise KernelError(f"cc could not build the compiled kernel "
                               f"{source}: {detail}")
+        try:
+            lib = ctypes.CDLL(tmp)
+        except OSError as exc:
+            raise KernelError(f"cannot load the build of {source}: {exc}")
         if private is None:
             os.replace(tmp, path)
             tmp = path
-        return ctypes.CDLL(tmp)
+        return lib
     finally:
         if private is not None:
             shutil.rmtree(private, ignore_errors=True)

@@ -1,9 +1,12 @@
+import ctypes
+import hashlib
 import json
 import os
 import shlex
 import stat
 import subprocess
 import sys
+import sysconfig
 
 import pytest
 
@@ -128,7 +131,7 @@ def test_periodic_bad_pattern_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["scan", "--length", "61", "--distribution"],
+    ["scan", "--length", "45", "--distribution"],
     ["scan", "--length", "-1", "--first-occurrence"],
     ["periodic", "--period", "6", "--stopped", "x", "--max-length", "10"],
     ["periodic", "--period", "6", "--stopped", "4", "--max-length", "-5"],
@@ -136,7 +139,7 @@ def test_periodic_bad_pattern_usage_error(capsys):
     ["oracle", "--word", "10", "--max-heap", "-1"],
     ["scan", "--length", "9", "--first-occurrence", "--max-k", "0"],
     ["scan", "--length", "9", "--first-occurrence", "--max-k", "-2"],
-    ["scan", "--length", "9", "--first-occurrence", "--max-k", "61"],
+    ["scan", "--length", "9", "--first-occurrence", "--max-k", "45"],
     ["scan", "--length", "9", "--distribution", "--workers", "0"],
     ["tables", "--which", "first-occurrence", "--workers", "0"],
     ["tables", "--which", "thm2", "--alpha-max", "5"],
@@ -232,14 +235,15 @@ def test_subcommands_import_only_what_they_run(argv, absent):
 
 
 @pytest.mark.parametrize("cc, message", [
-    (None, "the phase-table kernel needs a C compiler: no cc on PATH"),
+    (None, "the compiled kernel needs a C compiler: no cc on PATH"),
     ("echo 'fatal: no room' >&2; exit 1",
-     "cc could not build the phase-table kernel"),
+     "cc could not build the compiled kernel"),
 ], ids=["no-cc", "cc-fails"])
 def test_missing_compiler_is_one_line_exit_1(cc, message, tmp_path):
-    # nothing cached, and no cc on PATH or one that fails: the phase-table
-    # kernel cannot be built, which the CLI reports in one line, leaving
-    # nothing in the cache; --version needs no kernel
+    # nothing cached, and no cc on PATH or one that fails: the kernel that
+    # phase tables and the rank scan both run cannot be built, which the
+    # CLI reports in one line, leaving nothing in the cache; --version
+    # needs no kernel
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     if cc is not None:
@@ -248,19 +252,57 @@ def test_missing_compiler_is_one_line_exit_1(cc, message, tmp_path):
     env = dict(_package_env(), PATH="" if cc is None else str(bin_dir),
                XDG_CACHE_HOME=str(tmp_path / "cache"))
     cmd = [sys.executable, "-m", "pawnnim.cli"]
-    proc = subprocess.run(cmd + ["periodic", "--period", "6", "--stopped",
-                                 "4", "--max-length", "60"],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: " + message), proc.stderr
-    if cc is not None:
-        assert proc.stderr.endswith(": fatal: no room\n")
-        assert os.listdir(tmp_path / "cache" / "pawnnim") == []
+    for argv in (["periodic", "--period", "6", "--stopped", "4",
+                  "--max-length", "60"],
+                 ["scan", "--length", "5", "--distribution"]):
+        proc = subprocess.run(cmd + argv, capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == "", argv
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: " + message), proc.stderr
+        if cc is not None:
+            assert proc.stderr.endswith(": fatal: no room\n")
+            assert os.listdir(tmp_path / "cache" / "pawnnim") == []
     proc = subprocess.run(cmd + ["--version"], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0 and proc.stdout.startswith("pawnnim ")
+
+
+@pytest.mark.parametrize("cc", ["cc", None, "garbage"])
+def test_damaged_cached_kernel(cc, tmp_path):
+    # the cached library cannot be loaded: a working cc replaces it; with
+    # no cc, or one whose build cannot be loaded either, the CLI exits 1
+    # with one line
+    source = os.path.join(os.path.dirname(cli.__file__), "_fill.c")
+    with open(source, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    cache = tmp_path / "cache" / "pawnnim"
+    cache.mkdir(parents=True)
+    lib = cache / f"_fill-{digest}-{sysconfig.get_platform()}.so"
+    lib.write_text("garbage\n")
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    # a cc that writes garbage to the file its -o names
+    (bin_dir / "cc").write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do '
+                                'shift; done\necho garbage > "$2"\n')
+    (bin_dir / "cc").chmod(0o755)
+    path = {"cc": os.environ["PATH"], None: "", "garbage": str(bin_dir)}[cc]
+    env = dict(_package_env(), PATH=path,
+               XDG_CACHE_HOME=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, "-m", "pawnnim.cli", "eval",
+                           "0101"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    if cc == "cc":
+        assert proc.returncode == 0, proc.stderr
+        assert os.listdir(cache) == [lib.name]
+        ctypes.CDLL(str(lib))
+        return
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        "error: the compiled kernel needs a C compiler" if cc is None
+        else f"error: cannot load the build of {source}: ")
+    assert os.listdir(cache) == [lib.name]
 
 
 def test_package_exports_resolve():

@@ -9,11 +9,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pawnnim.experiments import (ScanTables, write_report as _write,
-                                 _mask_dtype, _mex, first_occurrence,
-                                 periodic_scan,
-                                 power_milestones, two_sig_figs,
-                                 value_distribution)
+from pawnnim.experiments import (MAX_SCAN_LENGTH, ScanTables,
+                                 write_report as _write, first_occurrence,
+                                 periodic_scan, power_milestones,
+                                 two_sig_figs, value_distribution)
 from pawnnim.grundy import GrundyTable, epsilon
 from pawnnim.words import PeriodicPattern, Word, count_words, enumerate_words
 
@@ -225,27 +224,10 @@ def test_only_the_top_two_value_tiers_are_held():
 
 
 def test_tier_maxima_are_recorded():
-    # the mask width of a tier comes from these, not from the tables
+    # value_distribution sizes its counts from these, not from the tables
     st = ScanTables()
     st.build(26)
     assert st.top == [int(st.values(m).max()) for m in range(27)]
-
-
-def test_mask_width_holds_the_mex():
-    # when every class below 2^b is present the mex is 2^b, so the mask
-    # needs bit 2^b as well: at length 43, *16 appears over tiers whose
-    # values are all below 16
-    assert [_mask_dtype(top) for top in (1, 7, 8, 15, 16, 31, 60)] == [
-        np.uint16, np.uint16, np.uint32, np.uint32, np.uint64, np.uint64,
-        np.uint64]
-    for b in range(1, 6):
-        for top in (1 << (b - 1), (1 << b) - 1):
-            dtype = _mask_dtype(top)
-            full = (1 << (1 << b)) - 1  # every class below 2^b
-            mask = np.array([full, full ^ 1, full ^ (1 << b), 0], dtype)
-            out = np.empty(4, dtype=np.int8)
-            _mex(mask, np.empty_like(mask), out)
-            assert out.tolist() == [1 << b, 0, b, 0], (b, top)
 
 
 # sha256 of the bytes of the values of length m (once EPS[m]) and of CL[m]
@@ -370,6 +352,15 @@ def test_chunk_size_must_be_positive():
     for chunk_size in (0, -5):
         with pytest.raises(ValueError):
             ScanTables(chunk_size=chunk_size)
+
+
+def test_rank_steps_fit_in_int32():
+    # the kernel's rank steps are int32: every rank of the longest scan
+    # length fits, and the next length's would not
+    assert (count_words(MAX_SCAN_LENGTH) < 2 ** 31
+            <= count_words(MAX_SCAN_LENGTH + 1))
+    with pytest.raises(ValueError):
+        ScanTables().build(MAX_SCAN_LENGTH + 1)
 
 
 def test_unrank_refuses_ranks_outside_the_length(tables):
