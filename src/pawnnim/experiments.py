@@ -146,7 +146,6 @@ class ScanTables:
         self.C = [1, 2]  # valid word counts by length
         self.EPS = [np.zeros(1, dtype=np.int8)]
         self.CL = [np.full(2, 128, dtype=np.uint8)]  # 0 and 1 have no u[1]
-        self.top = [0]  # largest value of each tier
 
     def _count(self, n: int) -> int:
         while len(self.C) <= n:
@@ -200,7 +199,6 @@ class ScanTables:
 
             self._run(blocks, fill)
         self.EPS.append(eps)
-        self.top.append(int(eps.max()))
 
     def _colon_tier(self, m: int) -> None:
         """Append CL[m], then drop EPS[m - 1], whose values it holds."""
@@ -335,10 +333,11 @@ def first_occurrence(max_k: int, max_m: int,
 def value_distribution(m: int, tables: ScanTables) -> DistributionRow:
     """Exact counts of each value over all valid words of length m."""
     tables.build(m)
-    # bincount widens its input to intp, 8 bytes per word
-    counts = np.zeros(tables.top[m] + 1, dtype=np.int64)
+    # bincount widens its input to intp, 8 bytes per word; values are
+    # six-bit
+    counts = np.zeros(64, dtype=np.int64)
     for _, eps in _chunks(tables, m):
-        counts += np.bincount(eps, minlength=counts.size)
+        counts += np.bincount(eps, minlength=64)
     return DistributionRow(
         length=m,
         counts={v: int(c) for v, c in enumerate(counts) if c},

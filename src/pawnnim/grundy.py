@@ -140,7 +140,7 @@ class InsufficientTableError(ValueError):
     pass
 
 
-_SIDE_R, _SIDE_F, _LOONY = 1 << 28, 1 << 29, 1 << 30
+_LOONY = 1 << 30  # the loony bit of a colon entry
 
 _KERNEL = None  # the loaded ``_fill.c``
 
@@ -165,7 +165,7 @@ def _kernel():
         except OSError:  # not built yet, or a damaged build
             lib = _compile(source, path)
         # every call passes integers, then array addresses
-        for name, ints, arrays in (("fill", 3, 7), ("colon", 3, 6),
+        for name, ints, arrays in (("fill", 3, 5), ("colon", 3, 4),
                                    ("moves", 3, 3), ("scan_suffix", 2, 4),
                                    ("scan_block", 4, 7), ("scan_colon", 4, 4)):
             fn = getattr(lib, name)
@@ -192,7 +192,8 @@ def _compile(source: str, path: str):
     beside ``path``, loaded and renamed into place, so that processes
     compiling at once each load a whole one, or where that directory
     cannot be written, in a private temporary directory removed once it is
-    loaded.  Raises KernelError if cc is missing, fails or builds nothing
+    loaded.  A build renamed into place removes the other builds for its
+    platform there, those of other versions of the source.  Raises KernelError if cc is missing, fails or builds nothing
     loadable."""
     import ctypes
     import shutil
@@ -225,6 +226,14 @@ def _compile(source: str, path: str):
         if private is None:
             os.replace(tmp, path)
             tmp = path
+            cache, name = os.path.split(path)
+            kind = name.split("-", 2)[::2]  # "_fill" and the platform
+            try:
+                for old in os.listdir(cache):
+                    if old != name and old.split("-", 2)[::2] == kind:
+                        os.remove(os.path.join(cache, old))
+            except OSError:  # kept for another run to remove
+                pass
         return lib
     finally:
         if private is not None:
@@ -237,51 +246,38 @@ class PeriodicTable:
     """Values and colon entries for one stopping pattern, filled bottom up
     over lengths and extendable in place.
 
-    Three int32 arrays of width w = n + 1, 12 bytes per cell: ``E[q, l]``,
-    the value of the subword of length l at start phase q; ``R[q, l]``,
-    the colon entry of that subword read backwards behind the colon file
-    q + l; and ``F[e, w - 1 - l]``, the colon entry of the subword of
-    length l that ends before end phase e, read forwards behind the colon
-    file e - l - 1, with the length axis reversed.
-
-    A colon entry holds the value of the piece a capture leaves, below
-    2^28; ``_LOONY`` if the colon class is loony, and then a side bit
-    (``_SIDE_R`` in R, ``_SIDE_F`` in F) if the tail's first file is open.
-    A class that is not loony is that value.  ``save`` writes E alone, and
-    ``CF`` and ``CR`` decode F and R by start phase, -1 for loony.
-
-    The compiled kernel (``_fill.c``) states the move and colon rules: its
-    ``fill`` writes one length of all three arrays at every start phase,
-    ``colon`` the colon entries alone, for ``load``, and ``moves`` the
-    classes that ``move_classes`` returns.
+    Three int32 arrays of width n + 1, indexed by phase and length, 12
+    bytes per cell: ``E[q, l]``, the value of the subword of length l at
+    start phase q; ``R[q, l]``, the colon entry of that subword read
+    backwards behind the colon file q + l; and ``F[e, l]``, the colon entry
+    of the subword of length l that ends before end phase e, read forwards
+    behind the colon file e - l - 1.  The compiled kernel (``_fill.c``)
+    states the entry format and the rules: its ``fill`` writes one length
+    of all three arrays at every phase, lengths 0 and 1 included, ``colon``
+    the colon entries alone, for ``load``, and ``moves`` the classes that
+    ``move_classes`` returns.  ``save`` writes E alone, and ``CF`` and
+    ``CR`` decode F and R by start phase, -1 for loony.
     """
 
     def __init__(self, pattern: PeriodicPattern, max_length: int = 0):
         self._kernel = _kernel()
         self.pattern = pattern
         self.p = p = pattern.period
-        self._phases = np.arange(p, dtype=np.int32)
-        # flags and loony bits of each phase over two periods, so that
-        # phase (s + q) % p is index s + q for s, q < p
+        # the flag of each phase over two periods, so that phase
+        # (s + q) % p is index s + q for s, q < p
         self._flags2 = np.array([pattern.flag(q) for q in range(2 * p)],
                                 dtype=np.uint8)
-        open2 = 1 - self._flags2.astype(np.int32)
-        self._r_loony = _LOONY | _SIDE_R * open2
-        self._f_loony = _LOONY | _SIDE_F * open2
         self.n = 0
-        self.E = np.zeros((p, 1), dtype=np.int32)
-        # an empty tail is loony, and its capture leaves nothing, worth 0
-        self.R = self._r_loony[p - 1:2 * p - 1, None].copy()
-        self.F = self._f_loony[:p, None].copy()
-        self._grow(0)  # records the addresses the kernel reads
+        self.E = self.R = self.F = np.zeros((p, 0), dtype=np.int32)
+        self._grow(0)
+        self._kernel.fill(p, 0, *self._args)
         if max_length:
             self.extend(max_length)
 
     @property
     def CF(self) -> np.ndarray:
         l = np.arange(self.F.shape[1])
-        F = np.take_along_axis(self.F[:, ::-1],
-                               (self._phases[:, None] + l) % self.p, axis=0)
+        F = self.F[(np.arange(self.p)[:, None] + l) % self.p, l]
         return np.where(F & _LOONY, -1, F)
 
     @property
@@ -293,28 +289,22 @@ class PeriodicTable:
             return
         self._grow(n)
         fill, p, args = self._kernel.fill, self.p, self._args
-        for length in range(max(self.n + 1, 2), n + 1):
+        for length in range(self.n + 1, n + 1):
             fill(p, length, *args)
         self.n = n
 
     def _grow(self, n: int) -> None:
-        """Widen E, R and F to lengths 0..n, seed length 1 if new, and
-        record the row width and addresses the kernel reads: E, R, F, the
-        flags and loony bits, and a mex scratch of n + 2 bytes."""
-        p, width = self.p, n + 1
-        E, R, F = (np.zeros((p, width), dtype=np.int32) for _ in range(3))
-        E[:, :self.n + 1] = self.E
-        R[:, :self.n + 1] = self.R
-        F[:, width - self.n - 1:] = self.F
-        self.E, self.R, self.F = E, R, F
-        if self.n < 1 <= n:
-            # a lone file is worth 1, and as a colon tail it is loony
-            E[:, 1] = 1
-            R[:, 1] = self._r_loony[:p]
-            F[:, n - 1] = self._f_loony[p - 1:2 * p - 1]
+        """Widen E, R and F to lengths 0..n with zeros, and record the row
+        width and addresses the kernel reads: E, R, F, the flags and a mex
+        scratch of n + 2 bytes."""
+        grown = []
+        for a in (self.E, self.R, self.F):
+            grown.append(np.zeros((self.p, n + 1), dtype=np.int32))
+            grown[-1][:, :a.shape[1]] = a
+        self.E, self.R, self.F = grown
         self._seen = np.empty(n + 2, dtype=np.uint8)
-        self._args = (width, *(a.ctypes.data for a in (
-            E, R, F, self._flags2, self._r_loony, self._f_loony, self._seen)))
+        self._args = (n + 1, *(a.ctypes.data for a in (
+            *grown, self._flags2, self._seen)))
 
     def move_classes(self, L: int) -> np.ndarray:
         """Class of the move at each file of the length-L word at every
@@ -375,7 +365,7 @@ class PeriodicTable:
         table._grow(n)
         table.E[:] = E
         colon, args = table._kernel.colon, table._args[:-1]
-        for length in range(2, n + 1):
+        for length in range(1, n + 1):
             colon(pattern.period, length, *args)
         table.n = n
         return table
@@ -448,6 +438,5 @@ def verify_period_window(table: PeriodicTable, preperiod: int,
         return np.array_equal(X[:, start:hi + 1],
                               X[:, start - period:hi + 1 - period])
 
-    # F holds the length axis reversed
     return (repeats(table.E, lo) and repeats(table.R, lo + 1)
-            and repeats(table.F[:, ::-1], lo + 1))
+            and repeats(table.F, lo + 1))

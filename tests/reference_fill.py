@@ -33,12 +33,12 @@ def _moves(R, F, L):
     of R[q, k] and of F of the tail from file k + 1: its class is their
     exclusive or with LOONY cleared, and it is loony exactly when a side
     bit survives.  Those tails all end at file L - 1, so their F entries
-    are a slice of end row (q + L) % p."""
-    p, width = R.shape
+    are end row (q + L) % p from length L - 1 down to 1."""
+    p = R.shape[0]
     if L <= 1:
         return np.zeros((p, L), dtype=np.int32)  # a move to 0
     out = np.empty((p, L), dtype=np.int32)
-    right = F[(np.arange(p) + L) % p, width - L:width - 1]
+    right = F[(np.arange(p) + L) % p, L - 1:0:-1]
     out[:, 0] = right[:, 0]
     out[:, 1:L - 1] = (R[:, 1:L - 1] ^ right[:, 1:]) & ~_LOONY
     out[:, L - 1] = R[:, L - 1]
@@ -54,8 +54,8 @@ def move_classes(R, F, L):
 
 
 def fill(pattern: PeriodicPattern, n: int):
-    """E, R and F of ``pattern`` for lengths 0..n, each p x (n + 1) int32,
-    F with its length axis reversed."""
+    """E, R and F of ``pattern`` for lengths 0..n, each p x (n + 1) int32
+    indexed by phase and length."""
     p, width = pattern.period, n + 1
     phases = np.arange(p)
     flags = np.array([pattern.flag(q) for q in range(p)], dtype=bool)
@@ -66,12 +66,12 @@ def fill(pattern: PeriodicPattern, n: int):
     # R's tail at start phase q reads backwards from file q - 1, and F's
     # at end phase e forwards from file e
     R[:, 0] = r_loony[(phases - 1) % p]
-    F[:, n] = f_loony[phases]
+    F[:, 0] = f_loony[phases]
     if n >= 1:
         # a lone file is worth 1, and as a colon tail it is loony
         E[:, 1] = 1
         R[:, 1] = r_loony
-        F[:, n - 1] = f_loony[(phases - 1) % p]
+        F[:, 1] = f_loony[(phases - 1) % p]
     for L in range(2, n + 1):
         # L moves leave one of the values 0..L unused; loony moves, and
         # any class past L, land in the spare last column of their row
@@ -86,9 +86,8 @@ def fill(pattern: PeriodicPattern, n: int):
         R[:, L] = _colon_entry(flags[(phases + L) % p], E[:, L - 1],
                                R[:, L - 1], R[:, L - 2],
                                r_loony[(phases + L - 1) % p])
-        col = n - L
-        F[:, col] = _colon_entry(flags[(phases - L - 1) % p],
-                                 E[(phases - L + 1) % p, L - 1],
-                                 F[:, col + 1], F[:, col + 2],
-                                 f_loony[(phases - L) % p])
+        F[:, L] = _colon_entry(flags[(phases - L - 1) % p],
+                               E[(phases - L + 1) % p, L - 1],
+                               F[:, L - 1], F[:, L - 2],
+                               f_loony[(phases - L) % p])
     return E, R, F

@@ -223,13 +223,6 @@ def test_only_the_top_two_value_tiers_are_held():
             st.values(m)
 
 
-def test_tier_maxima_are_recorded():
-    # value_distribution sizes its counts from these, not from the tables
-    st = ScanTables()
-    st.build(26)
-    assert st.top == [int(st.values(m).max()) for m in range(27)]
-
-
 # sha256 of the bytes of the values of length m (once EPS[m]) and of CL[m]
 # in the (2, C[m]) int8 layout
 # it had before one table per length held both loony bits, for m = 0..26:

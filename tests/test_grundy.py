@@ -294,11 +294,9 @@ _PADDED20 = PeriodicPattern(
 
 
 def _assert_same_table(got, fresh, n):
-    for name in ("E", "R", "CF", "CR"):
+    for name in ("E", "R", "F", "CF", "CR"):
         assert np.array_equal(getattr(got, name),
                               getattr(fresh, name)[:, :n + 1]), (name, n)
-    # F's length axis is reversed, so lengths 0..n are its last columns
-    assert np.array_equal(got.F, fresh.F[:, fresh.F.shape[1] - n - 1:]), n
     assert got.n == n, n
     # move_classes reads lengths below L, so a table of length n serves
     # every L up to n + 1
@@ -313,12 +311,16 @@ _PATTERNS = pytest.mark.parametrize("pattern", [
     PeriodicPattern(14, frozenset({0, 5})),
     PeriodicPattern(5, frozenset({2}), file_origin=3),
     _PADDED20,
-], ids=["p1", "p6", "p14", "p5-origin3", "padded20"])
+    # the kernel's phase offsets, such as (L + p - 1) % p, wrap the most
+    # at the shortest periods
+    PeriodicPattern(2, frozenset({1})),
+    PeriodicPattern(3, frozenset({0})),
+], ids=["p1", "p6", "p14", "p5-origin3", "padded20", "p2", "p3"])
 
 
 @_PATTERNS
 def test_periodic_table_extend_matches_fresh(pattern, tmp_path):
-    # F is copied into the right-hand columns whenever the table grows, and
+    # E, R and F are widened with zeros whenever the table grows, and
     # load fills R and F from E alone; growing in steps, or from a loaded
     # table, must match a one-shot fill.  p6 first reaches *32 at length
     # 202
@@ -370,19 +372,31 @@ def test_kernel_matches_reference_fill_p6_21208():
                               reference_fill.move_classes(R, F, L)), L
 
 
-@pytest.mark.parametrize("writable", [True, False])
-def test_kernel_build(writable, tmp_path, monkeypatch):
+@pytest.mark.parametrize("writable, seeded",
+                         [(True, False), (False, False), (True, True)],
+                         ids=["True", "False", "stale"])
+def test_kernel_build(writable, seeded, tmp_path, monkeypatch):
     # a fresh cache gets one library named by the digest of the source and
     # the platform, and no temporary file; a cache that cannot be written
     # (here a path under a regular file) gets nothing, and the build goes
-    # to a private directory that is removed once the library is loaded
+    # to a private directory that is removed once the library is loaded.
+    # A build removes the library of an older source for its platform, and
+    # keeps other platforms' builds and unrelated files
     source = os.path.join(os.path.dirname(grundy.__file__), "_fill.c")
     with open(source, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
+    platform = sysconfig.get_platform()
+    built = f"_fill-{digest}-{platform}.so"
     cache = tmp_path / "cache"
+    kept = []
     if not writable:
         cache.write_text("")
         cache = cache / "sub"
+    elif seeded:
+        (cache / "pawnnim").mkdir(parents=True)
+        kept = [f"_fill-{digest}-other-{platform}.so", "notes.txt"]
+        for name in kept + [f"_fill-{'0' * 64}-{platform}.so"]:
+            (cache / "pawnnim" / name).write_text("")
     private = tmp_path / "tmp"
     private.mkdir()
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
@@ -391,8 +405,7 @@ def test_kernel_build(writable, tmp_path, monkeypatch):
     kernel = grundy._kernel()
     assert grundy._kernel() is kernel
     if writable:
-        assert os.listdir(cache / "pawnnim") == [
-            f"_fill-{digest}-{sysconfig.get_platform()}.so"]
+        assert sorted(os.listdir(cache / "pawnnim")) == sorted(kept + [built])
     else:
         assert not cache.exists()
     assert os.listdir(private) == []
@@ -454,13 +467,12 @@ def test_verify_period_window_reads_the_colon_entries():
     pattern = PeriodicPattern(1, frozenset())
     for name, l in (("R", 23), ("R", 11), ("F", 23), ("F", 11)):
         t = PeriodicTable(pattern, 23)
-        col = l if name == "R" else t.n - l  # F's length axis is reversed
-        getattr(t, name)[0, col] ^= 1
+        getattr(t, name)[0, l] ^= 1
         assert not verify_period_window(t, 0, 10), (name, l)
         # an entry of length 0 pairs only with length 10, which is made
         # from values of length 9, below the window
         t = PeriodicTable(pattern, 23)
-        getattr(t, name)[0, 0 if name == "R" else t.n] ^= 1
+        getattr(t, name)[0, 0] ^= 1
         assert verify_period_window(t, 0, 10), name
 
 
