@@ -14,7 +14,8 @@ class KernelError(RuntimeError):
 
 # every public name loads its module on first access (PEP 562), so a
 # process imports only what it uses: `pawnnim --version` none of them,
-# the oracle and the embedder not numpy, which grundy imports
+# and single words, the oracle and the embedder not numpy, which only
+# experiments and grundy's whole-array functions import
 _MODULE_OF = {
     **dict.fromkeys(("Word", "PeriodicPattern", "validate", "count_words",
                      "enumerate_words", "word_from_pattern"), "words"),

@@ -22,8 +22,9 @@ import sys
 from contextlib import contextmanager
 
 # each handler imports the modules it runs, so a process loads only what
-# its subcommand needs: --version no other package module, embed and the
-# oracle's searches not numpy, which grundy and experiments import
+# its subcommand needs: --version no other package module, and embed,
+# oracle, eval and tables --which thm2 not numpy, which only experiments
+# and grundy's whole-array functions import
 from . import KernelError, __version__
 
 OK, MISMATCH, USAGE, INTERRUPTED = 0, 1, 2, 130

@@ -349,7 +349,7 @@ def periodic_scan(pattern: PeriodicPattern, max_length: int,
     """Values of the pattern family up to max_length, the least length
     attaining each power of two, and the detected period if any."""
     table = PeriodicTable(pattern, max_length)
-    values = table.values()[:max_length + 1]
+    values = np.asarray(table.values())[:max_length + 1]
     milestones = power_milestones(values)
     report = detect_period(values, pattern, table) if detect else None
     return PeriodicScanResult(pattern, max_length, values, milestones, report)

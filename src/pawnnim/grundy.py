@@ -6,10 +6,9 @@ the closed form for unstopped components; and period detection.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import KernelError, reference
 from .words import PeriodicPattern, Word, require_valid
@@ -35,18 +34,19 @@ class GrundyTable:
     period P when P < n, else the word padded with an open file to period
     n + 1.  ``ensure`` fills the pattern's ``PeriodicTable`` to the word's
     length and records, under the word's key, the value ``E[0, n]`` in
-    ``eps``, the move row in ``_done`` and, for a nonempty word, the class
-    of a move to the colon component with colon file ``word[0]`` and tail
-    ``word[1:]`` in ``colon``: the end move at file 0, ``row[0]``, or -1
-    for an empty tail.  Tables of words that span at least two
-    periods (n >= 2P) are kept per pattern and extend in place, so words
-    of one pattern (runs of open files, repeats of ``1000``) share one
-    table.  Any other table, padded or not, is dropped once ``ensure`` has
-    recorded its word's move row: a word with w[0] == w[n-1] already has
-    period n - 1, so few such tables would ever be shared, and a longer
-    word of the same pattern builds the table again.  A word with a short
-    period costs one phase per length; a word with no shorter period
-    costs O(n^3).
+    ``eps``, the move row, a tuple of n ints, in ``_done`` and, for a
+    nonempty word, the class of a move to the colon component with colon
+    file ``word[0]`` and tail ``word[1:]`` in ``colon``: the end move at
+    file 0, ``row[0]``, or -1 for an empty tail.  It reads the table's
+    buffers directly, so single words never import numpy.  Tables of words
+    that span at least two periods (n >= 2P) are kept per pattern and
+    extend in place, so words of one pattern (runs of open files, repeats
+    of ``1000``) share one table.  Any other table, padded or not, is
+    dropped once ``ensure`` has recorded its word's move row: a word with
+    w[0] == w[n-1] already has period n - 1, so few such tables would ever
+    be shared, and a longer word of the same pattern builds the table
+    again.  A word with a short period costs one phase per length; a word
+    with no shorter period costs O(n^3).
     """
 
     def __init__(self):
@@ -74,19 +74,19 @@ class GrundyTable:
             file_origin=period)  # phase t is word position t
         table = self._tables.get(pattern) or PeriodicTable(pattern)
         table.extend(n)
-        # a shared table may have grown past n, so read lengths <= n only
-        self.eps[key] = int(table.E[0, n])
-        # a copy, so the row does not keep every phase's row alive
-        self._done[key] = row = table.move_classes(n)[0].copy()
+        # a shared table may have grown past n, so read lengths <= n only;
+        # E[0, n] is the n-th int of the buffer, whose first row is phase 0
+        self.eps[key] = table._E[n]
+        self._done[key] = row = tuple(table.move_classes(n)[0])
         if n:
-            self.colon[key] = int(row[0]) if n > 1 else -1
+            self.colon[key] = row[0] if n > 1 else -1
         if 2 * period <= n:
             self._tables[pattern] = table
 
     def move_classes(self, word: Word) -> list:
         """Class of the move at each file of ``word``; -1 means loony."""
         self.ensure(word)
-        return self._done[word.key].tolist()
+        return list(self._done[word.key])
 
     def colon_class(self, word: Word) -> int:
         """Class of a move to the colon component whose colon file is
@@ -192,8 +192,10 @@ def _compile(source: str, path: str):
     beside ``path``, loaded and renamed into place, so that processes
     compiling at once each load a whole one, or where that directory
     cannot be written, in a private temporary directory removed once it is
-    loaded.  A build renamed into place removes the other builds for its
-    platform there, those of other versions of the source.  Raises KernelError if cc is missing, fails or builds nothing
+    loaded.  A build renamed into place keeps the most recent other build
+    for its platform there, of another version of the source, and removes
+    the older ones, so that two checkouts sharing the cache each keep
+    theirs.  Raises KernelError if cc is missing, fails or builds nothing
     loadable."""
     import ctypes
     import shutil
@@ -229,9 +231,12 @@ def _compile(source: str, path: str):
             cache, name = os.path.split(path)
             kind = name.split("-", 2)[::2]  # "_fill" and the platform
             try:
-                for old in os.listdir(cache):
-                    if old != name and old.split("-", 2)[::2] == kind:
-                        os.remove(os.path.join(cache, old))
+                others = sorted(
+                    (os.path.join(cache, old) for old in os.listdir(cache)
+                     if old != name and old.split("-", 2)[::2] == kind),
+                    key=os.path.getmtime)
+                for old in others[:-1]:  # all but the newest
+                    os.remove(old)
             except OSError:  # kept for another run to remove
                 pass
         return lib
@@ -251,10 +256,13 @@ class PeriodicTable:
     start phase q; ``R[q, l]``, the colon entry of that subword read
     backwards behind the colon file q + l; and ``F[e, l]``, the colon entry
     of the subword of length l that ends before end phase e, read forwards
-    behind the colon file e - l - 1.  The compiled kernel (``_fill.c``)
-    states the entry format and the rules: its ``fill`` writes one length
-    of all three arrays at every phase, lengths 0 and 1 included, ``colon``
-    the colon entries alone, for ``load``, and ``moves`` the classes that
+    behind the colon file e - l - 1.  Each is held in one ``array("i")``
+    buffer, ``_E``, ``_R`` and ``_F``, in C order, and ``E``, ``R`` and
+    ``F`` are numpy views of them, so only the code that reads whole arrays
+    imports numpy.  The compiled kernel (``_fill.c``) states the entry
+    format and the rules: its ``fill`` writes one length of all three
+    arrays at every phase, lengths 0 and 1 included, ``colon`` the colon
+    entries alone, for ``load``, and ``moves`` the classes that
     ``move_classes`` returns.  ``save`` writes E alone, and ``CF`` and
     ``CR`` decode F and R by start phase, -1 for loony.
     """
@@ -265,24 +273,35 @@ class PeriodicTable:
         self.p = p = pattern.period
         # the flag of each phase over two periods, so that phase
         # (s + q) % p is index s + q for s, q < p
-        self._flags2 = np.array([pattern.flag(q) for q in range(2 * p)],
-                                dtype=np.uint8)
+        self._flags2 = array("B", [pattern.flag(q) for q in range(2 * p)])
         self.n = 0
-        self.E = self.R = self.F = np.zeros((p, 0), dtype=np.int32)
+        self._E = self._R = self._F = array("i")
         self._grow(0)
         self._kernel.fill(p, 0, *self._args)
         if max_length:
             self.extend(max_length)
 
+    def _view(self, buf: array):
+        import numpy as np
+        return np.frombuffer(buf, dtype=np.int32).reshape(self.p, -1)
+
+    E = property(lambda self: self._view(self._E))
+    R = property(lambda self: self._view(self._R))
+    F = property(lambda self: self._view(self._F))
+
     @property
-    def CF(self) -> np.ndarray:
-        l = np.arange(self.F.shape[1])
-        F = self.F[(np.arange(self.p)[:, None] + l) % self.p, l]
+    def CF(self):
+        import numpy as np
+        F = self.F
+        l = np.arange(F.shape[1])
+        F = F[(np.arange(self.p)[:, None] + l) % self.p, l]
         return np.where(F & _LOONY, -1, F)
 
     @property
-    def CR(self) -> np.ndarray:
-        return np.where(self.R & _LOONY, -1, self.R)
+    def CR(self):
+        import numpy as np
+        R = self.R
+        return np.where(R & _LOONY, -1, R)
 
     def extend(self, n: int) -> None:
         if n <= self.n:
@@ -297,18 +316,22 @@ class PeriodicTable:
         """Widen E, R and F to lengths 0..n with zeros, and record the row
         width and addresses the kernel reads: E, R, F, the flags and a mex
         scratch of n + 2 bytes."""
+        p, width = self.p, n + 1
+        old = len(self._E) // p
         grown = []
-        for a in (self.E, self.R, self.F):
-            grown.append(np.zeros((self.p, n + 1), dtype=np.int32))
-            grown[-1][:, :a.shape[1]] = a
-        self.E, self.R, self.F = grown
-        self._seen = np.empty(n + 2, dtype=np.uint8)
-        self._args = (n + 1, *(a.ctypes.data for a in (
+        for a in (self._E, self._R, self._F):
+            b = array("i", [0]) * (p * width)
+            for q in range(p):
+                b[q * width:q * width + old] = a[q * old:(q + 1) * old]
+            grown.append(b)
+        self._E, self._R, self._F = grown
+        self._seen = array("B", [0]) * (n + 2)
+        self._args = (width, *(a.buffer_info()[0] for a in (
             *grown, self._flags2, self._seen)))
 
-    def move_classes(self, L: int) -> np.ndarray:
+    def move_classes(self, L: int) -> list:
         """Class of the move at each file of the length-L word at every
-        start phase: a (p, L) array, -1 for loony.  Reads only lengths
+        start phase: p lists of L ints, -1 for loony.  Reads only lengths
         below L.  Raises ValueError unless 0 <= L <= n + 1 for a table of
         length n."""
         # the arrays hold lengths 0..width - 1
@@ -316,15 +339,21 @@ class PeriodicTable:
         if not 0 <= L <= width:
             raise ValueError(f"L = {L} is outside 0..{width} for a table "
                              f"of length {width - 1}")
-        out = np.empty((self.p, L), dtype=np.int32)
-        self._kernel.moves(self.p, L, width, R, F, out.ctypes.data)
-        return out
+        if not L:  # an empty buffer has no address to write to
+            return [[] for _ in range(self.p)]
+        out = array("i", [0]) * (self.p * L)
+        self._kernel.moves(self.p, L, width, R, F, out.buffer_info()[0])
+        out = out.tolist()
+        return [out[i:i + L] for i in range(0, len(out), L)]
 
-    def values(self) -> np.ndarray:
+    def values(self) -> array:
         """Component values for lengths 0..n at the pattern's file origin."""
-        return self.E[self.pattern.file_origin % self.p].copy()
+        width = len(self._E) // self.p
+        start = self.pattern.file_origin % self.p * width
+        return self._E[start:start + width]
 
     def save(self, path) -> None:
+        import numpy as np
         np.savez_compressed(
             path, E=self.E, n=self.n, period=self.pattern.period,
             stopped=np.array(sorted(self.pattern.stopped), dtype=np.int64),
@@ -337,6 +366,7 @@ class PeriodicTable:
         the fields ``save`` writes, n, period and file_origin are integer
         scalars, stopped is a 1-d integer array, n >= 0, E is a signed
         integer array of shape (period, n + 1) and E[q, l] lies in 0..l."""
+        import numpy as np
         with np.load(path) as data:
             fields = ", ".join(sorted(data.files))
             if fields != "E, file_origin, n, period, stopped":
@@ -396,6 +426,7 @@ def detect_period(values, pattern: PeriodicPattern,
     Without a table only the given value row is examined, which is an
     observation, never verified.
     """
+    import numpy as np
     if table is not None:
         rows, step = table.E[:, :table.n + 1], table.p
     else:
@@ -433,6 +464,7 @@ def verify_period_window(table: PeriodicTable, preperiod: int,
             f"table filled to {table.n}, need {hi}")
     if period % table.p:
         return False
+    import numpy as np
 
     def repeats(X, start):
         return np.array_equal(X[:, start:hi + 1],

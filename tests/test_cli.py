@@ -2,6 +2,7 @@ import ctypes
 import hashlib
 import json
 import os
+import random
 import shlex
 import stat
 import subprocess
@@ -175,11 +176,30 @@ def _fresh_python(script, *argv):
     return proc.stdout
 
 
+def _seeded_word(n, seed):
+    """A valid word of n files, drawn with ``random.Random(seed)``."""
+    rng, flags = random.Random(seed), []
+    for _ in range(n):
+        flags.append(0 if flags and flags[-1] else rng.randrange(2))
+    return "".join(map(str, flags))
+
+
+# the commands that fill phase tables through their int buffers alone:
+# single words, the oracle's check against the engine and the unstopped
+# closed form
+_SINGLE_WORD_COMMANDS = [
+    ["eval", _seeded_word(150, 150), "--moves"],
+    ["oracle", "--word", "0101", "--check-loony"],
+    ["tables", "--which", "thm2"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["--version"],
     ["embed", "--words", "1000"],
     ["oracle", "--word", "10"],
     ["eval", "11"],  # a usage error
+    *_SINGLE_WORD_COMMANDS,
 ])
 def test_light_subcommands_do_not_import_numpy(argv):
     # importing numpy costs about 0.1 s of each process's start
@@ -191,6 +211,21 @@ def test_light_subcommands_do_not_import_numpy(argv):
                         "    pass\n"
                         "print('numpy' in sys.modules)\n", *argv)
     assert out.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("argv", _SINGLE_WORD_COMMANDS,
+                         ids=lambda argv: argv[0])
+def test_single_word_commands_run_where_numpy_cannot_load(argv):
+    # an import of numpy raises ImportError here, so any path that still
+    # reached it would fail instead of printing what a normal run prints
+    script = ("import sys\n"
+              "{}"
+              "from pawnnim.cli import main\n"
+              "print('exit', main(sys.argv[1:]))\n")
+    blocked = _fresh_python(script.format("sys.modules['numpy'] = None\n"),
+                            *argv)
+    assert blocked == _fresh_python(script.format(""), *argv)
+    assert blocked.splitlines()[-1] == "exit 0"
 
 
 @pytest.mark.parametrize("preset, expected", [((), "1"), (("3",), "3")])

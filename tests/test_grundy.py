@@ -5,6 +5,7 @@ import os
 import random
 import sysconfig
 import tempfile
+from array import array
 
 import numpy as np
 import pytest
@@ -172,11 +173,12 @@ def test_padded_tables_are_dropped(small_words):
     assert not table._tables
     fresh = PeriodicTable(PeriodicPattern(5, frozenset({0}), file_origin=5), 9)
     assert table.epsilon(longer) == fresh.E[0, 9]
-    assert table.move_classes(longer) == fresh.move_classes(9)[0].tolist()
-    assert table.move_classes(short) == fresh.move_classes(4)[0].tolist()
-    # a recorded row holds its own n classes, not a view of every phase
-    assert all(row.base is None for row in table._done.values())
-    assert table._done[longer.key].shape == (9,)
+    assert table.move_classes(longer) == fresh.move_classes(9)[0]
+    assert table.move_classes(short) == fresh.move_classes(4)[0]
+    # a recorded row holds its own n classes as ints, not every phase's
+    assert all(type(row) is tuple and all(type(c) is int for c in row)
+               for row in table._done.values())
+    assert len(table._done[longer.key]) == 9
 
 
 @pytest.mark.parametrize("unit", ["0", "1000", "0010"])
@@ -192,7 +194,7 @@ def test_shared_table_reads_each_word_at_its_length(unit):
         w = Word((unit * 60)[:m])
         fresh = PeriodicTable(pattern, m)
         assert table.epsilon(w) == fresh.E[0, m], m
-        assert table.move_classes(w) == fresh.move_classes(m)[0].tolist()
+        assert table.move_classes(w) == fresh.move_classes(m)[0]
         if m:
             assert table.colon_class(w) == fresh.CF[1 % period, m - 1], m
 
@@ -380,8 +382,9 @@ def test_kernel_build(writable, seeded, tmp_path, monkeypatch):
     # the platform, and no temporary file; a cache that cannot be written
     # (here a path under a regular file) gets nothing, and the build goes
     # to a private directory that is removed once the library is loaded.
-    # A build removes the library of an older source for its platform, and
-    # keeps other platforms' builds and unrelated files
+    # A build keeps the newest library of another source for its platform
+    # and removes older ones, and keeps other platforms' builds and
+    # unrelated files
     source = os.path.join(os.path.dirname(grundy.__file__), "_fill.c")
     with open(source, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
@@ -394,9 +397,12 @@ def test_kernel_build(writable, seeded, tmp_path, monkeypatch):
         cache = cache / "sub"
     elif seeded:
         (cache / "pawnnim").mkdir(parents=True)
-        kept = [f"_fill-{digest}-other-{platform}.so", "notes.txt"]
-        for name in kept + [f"_fill-{'0' * 64}-{platform}.so"]:
+        newer, older = (f"_fill-{c * 64}-{platform}.so" for c in "01")
+        kept = [f"_fill-{digest}-other-{platform}.so", "notes.txt", newer]
+        for name in kept + [older]:
             (cache / "pawnnim" / name).write_text("")
+        # by modification time, not by name
+        os.utime(cache / "pawnnim" / older, (1e9, 1e9))
     private = tmp_path / "tmp"
     private.mkdir()
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
@@ -414,11 +420,40 @@ def test_kernel_build(writable, seeded, tmp_path, monkeypatch):
     assert np.array_equal(table.E, reference_fill.fill(_P6, 40)[0])
 
 
+def test_two_sources_sharing_a_cache_keep_their_builds(tmp_path,
+                                                       monkeypatch):
+    # two checkouts whose _fill.c differ take turns over one cache: once
+    # each has built its kernel, neither build removes the other's, so
+    # the next turn loads its own without compiling
+    source = os.path.join(os.path.dirname(grundy.__file__), "_fill.c")
+    other = tmp_path / "_fill.c"
+    with open(source, "rb") as fh:
+        mine = fh.read()
+    other.write_bytes(mine + b"/* another checkout */\n")
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(grundy, "_KERNEL", None)
+    grundy._kernel()
+    (built,) = os.listdir(cache / "pawnnim")
+    theirs = built.replace(grundy._sha256(mine),
+                           grundy._sha256(other.read_bytes()))
+    grundy._compile(str(other), str(cache / "pawnnim" / theirs))
+    assert sorted(os.listdir(cache / "pawnnim")) == sorted([built, theirs])
+
+    def no_compiler(source, path):
+        raise AssertionError(f"compiled {source} again")
+
+    monkeypatch.setattr(grundy, "_compile", no_compiler)
+    monkeypatch.setattr(grundy, "_KERNEL", None)
+    grundy._kernel()  # this checkout's build, loaded from the cache
+    assert sorted(os.listdir(cache / "pawnnim")) == sorted([built, theirs])
+
+
 def test_single_words_across_the_mex_switch():
     # one GrundyTable grows one shared period-6 table a length at a time,
     # through the first *32 at length 202
     vals = PeriodicTable(_P6, 215).values()
-    assert vals[202] == 32 and vals[:202].max() < 32
+    assert vals[202] == 32 and max(vals[:202]) < 32
     table = GrundyTable()
     got = [table.epsilon(word_from_pattern(_P6, n)) for n in range(195, 216)]
     assert got == vals[195:].tolist()
@@ -499,11 +534,12 @@ def test_periodic_table_save_load(tmp_path):
     assert back.n == 40
     assert np.array_equal(back.E, t.E)
     assert np.array_equal(back.move_classes(40), t.move_classes(40))
-    # E, R and F, int32 each, are the only arrays that grow with a table,
-    # filled or loaded
+    # E, R and F, int32 each, are the only int buffers of a table, filled
+    # or loaded
     for table in (t, back):
-        assert sum(a.nbytes for a in vars(table).values()
-                   if isinstance(a, np.ndarray) and a.ndim == 2) == 12 * 6 * 41
+        assert sum(a.itemsize * len(a) for a in vars(table).values()
+                   if isinstance(a, array) and a.typecode == "i") == \
+            12 * 6 * 41
     back.extend(80)
     fresh = PeriodicTable(pattern, 80)
     # save writes E alone, so a loaded table fills its R and F entries
@@ -569,14 +605,14 @@ def test_move_classes_follow_the_move_rule(pattern):
 
     for L in list(range(9)) + [200]:
         every = t.move_classes(L)
-        assert every.shape == (p, L)
+        assert len(every) == p
         for q in range(p):
-            assert every[q].tolist() == direct(q, L), (q, L)
+            assert every[q] == direct(q, L), (q, L)
 
 
 def test_move_classes_rejects_lengths_the_table_lacks():
     t = PeriodicTable(PeriodicPattern(6, frozenset({4})))
-    assert t.move_classes(1).shape == (6, 1)
+    assert t.move_classes(1) == [[0]] * 6
     for table, L in ((t, 2), (t, -1), (PeriodicTable(t.pattern, 10), 12)):
         with pytest.raises(ValueError, match=f"table of length {table.n}"):
             table.move_classes(L)
