@@ -114,22 +114,39 @@ static inline int32_t class(uint32_t c)
 }
 
 /* The class of every move of the length-L words, 0 <= L <= width, at
-   every start phase into the p x L array out, -1 for loony.  A lone file's
-   move is worth 0. */
-void moves(int64_t p, int64_t L, int64_t width, const int32_t *R,
-           const int32_t *F, int32_t *out)
+   the count start phases from first on, first + count <= p, into the
+   count x L array out, -1 for loony.  A lone file's move is worth 0. */
+void moves(int64_t p, int64_t L, int64_t width, int64_t first,
+           int64_t count, const int32_t *R, const int32_t *F, int32_t *out)
 {
     if (L < 2) {
-        memset(out, 0, p * L * sizeof *out);
+        memset(out, 0, count * L * sizeof *out);
         return;
     }
-    for (int64_t q = 0; q < p; q++, out += L) {
+    for (int64_t q = first; q < first + count; q++, out += L) {
         const int32_t *r = R + q * width, *t = tails(p, L, width, F, q);
         out[0] = class(t[0]);
         for (int64_t k = 1; k < L - 1; k++)
             out[k] = class(interior(r, t, k));
         out[L - 1] = class(r[L - 1]);
     }
+}
+
+/* The largest length l in lo..hi, P <= lo, at which some phase q has
+   X[q, l] != X[q, l - P], or lo - 1 if there is none, for a p x width
+   array X of E, R or F.  Each row is read from hi down, as far as the
+   largest break found so far. */
+int64_t last_break(int64_t p, int64_t width, int64_t lo, int64_t hi,
+                   int64_t P, const int32_t *X)
+{
+    int64_t last = lo - 1;
+    for (int64_t q = 0; q < p; q++, X += width)
+        for (int64_t l = hi; l > last; l--)
+            if (X[l] != X[l - P]) {
+                last = l;
+                break;
+            }
+    return last;
 }
 
 /* The scan_ functions fill a tier of pawnnim.experiments.ScanTables,

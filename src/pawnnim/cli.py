@@ -23,8 +23,8 @@ from contextlib import contextmanager
 
 # each handler imports the modules it runs, so a process loads only what
 # its subcommand needs: --version no other package module, and embed,
-# oracle, eval and tables --which thm2 not numpy, which only experiments
-# and grundy's whole-array functions import
+# oracle, eval, periodic and tables --which thm2 or p6 not numpy, which
+# only the rank scan and a phase table's numpy views import
 from . import KernelError, __version__
 
 OK, MISMATCH, USAGE, INTERRUPTED = 0, 1, 2, 130

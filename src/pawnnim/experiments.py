@@ -13,21 +13,27 @@ as a slice and the other as a single byte.  The remaining files are the
 same suffixes in every block, so their rank steps and right sides are
 computed once per length, and a move there gathers one byte.  The
 compiled kernel ``_fill.c`` does the arithmetic of every block.
+
+Only the rank scan imports numpy, when it first runs.  A periodic run
+reads the phase table's ``array`` buffers, so ``periodic`` and ``tables
+--which p6`` processes never load it.
 """
 
 from __future__ import annotations
 
 import json
 import mmap
+from array import array
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .grundy import PeriodicTable, PeriodReport, _kernel, detect_period
 from .words import (PeriodicPattern, Word, count_words, enumerate_words,
                     require_valid)
+
+if TYPE_CHECKING:  # the rank scan imports numpy when it first runs
+    import numpy as np
 
 MAX_SCAN_LENGTH = 44  # rank steps are int32, and C[44] < 2^31 <= C[45]
 
@@ -55,7 +61,7 @@ class DistributionRow:
 class PeriodicScanResult:
     pattern: PeriodicPattern
     max_length: int
-    values: np.ndarray                       # indexed by length, 0..max
+    values: array                            # indexed by length, 0..max
     milestones: dict                         # 2**alpha -> least length
     report: Optional[PeriodReport]
 
@@ -72,6 +78,7 @@ def _mapped(size: int, dtypes) -> list:
     """Arrays of ``size`` entries, one of each dtype, as views of one
     anonymous memory map, which goes back to the system when the last view
     is dropped and leaves the allocator's thresholds alone."""
+    import numpy as np
     dtypes = [np.dtype(t) for t in dtypes]
     at = np.cumsum([0] + [size * t.itemsize for t in dtypes]).tolist()
     buf = mmap.mmap(-1, max(at[-1], 1))  # an empty map is an error
@@ -140,6 +147,7 @@ class ScanTables:
                              f"{chunk_size}")
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
+        import numpy as np
         self.chunk_size = chunk_size
         self.workers = workers
         self._kernel = _kernel()  # loaded here, before any worker starts
@@ -174,9 +182,11 @@ class ScanTables:
         hi = self.C[m] if hi is None else min(hi, self.C[m])
         if self.EPS[m].size:
             return self.EPS[m][lo:hi]
+        import numpy as np
         return np.bitwise_and(self.CL[m + 1][lo:hi], 63).view(np.int8)
 
     def _tier(self, m: int) -> None:
+        import numpy as np
         if len(self.CL) < m:  # else a failed try at tier m built it
             self._colon_tier(m - 1)
         eps = np.empty(self._count(m), dtype=np.int8)
@@ -202,6 +212,7 @@ class ScanTables:
 
     def _colon_tier(self, m: int) -> None:
         """Append CL[m], then drop EPS[m - 1], whose values it holds."""
+        import numpy as np
         C, size = self.C, self.chunk_size
         cl = np.empty(self._count(m + 1), dtype=np.uint8)
         if m == 1:
@@ -313,6 +324,7 @@ def first_occurrence(max_k: int, max_m: int,
                      tables: ScanTables) -> FirstOccurrenceTable:
     """Scan lengths 1..max_m for the least length attaining each value
     1..max_k, with a witness word; stops early once all are found."""
+    import numpy as np
     result = FirstOccurrenceTable()
     missing = list(range(1, max_k + 1))
     for m in range(1, max_m + 1):
@@ -332,6 +344,7 @@ def first_occurrence(max_k: int, max_m: int,
 
 def value_distribution(m: int, tables: ScanTables) -> DistributionRow:
     """Exact counts of each value over all valid words of length m."""
+    import numpy as np
     tables.build(m)
     # bincount widens its input to intp, 8 bytes per word; values are
     # six-bit
@@ -349,23 +362,21 @@ def periodic_scan(pattern: PeriodicPattern, max_length: int,
     """Values of the pattern family up to max_length, the least length
     attaining each power of two, and the detected period if any."""
     table = PeriodicTable(pattern, max_length)
-    values = np.asarray(table.values())[:max_length + 1]
+    values = table.values()
     milestones = power_milestones(values)
     report = detect_period(values, pattern, table) if detect else None
     return PeriodicScanResult(pattern, max_length, values, milestones, report)
 
 
-def power_milestones(values: np.ndarray) -> dict:
-    """Least length attaining each power-of-two value present."""
+def power_milestones(values) -> dict:
+    """Least length attaining each power-of-two value present, from one
+    pass over a sequence of ints indexed by length."""
     out = {}
-    top = int(values.max(initial=0))
-    power = 1
-    while power <= top:
-        hits = np.flatnonzero(values == power)
-        if hits.size:
-            out[power] = int(hits[0])
-        power *= 2
-    return out
+    for length, value in enumerate(values):
+        value = int(value)
+        if value > 0 and not value & (value - 1) and value not in out:
+            out[value] = length
+    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------

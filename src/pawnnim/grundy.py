@@ -1,6 +1,12 @@
 """Nim values of components: the (phase, length) engine that evaluates
 periodic stopping patterns and, as one period of a pattern, single words;
 the closed form for unstopped components; and period detection.
+
+The engine's tables are ``array`` buffers that the compiled kernel
+``_fill.c`` fills and reads, period detection and the proof window
+included, so single words and periodic runs never import numpy.  Only a
+table's numpy views (``E``, ``R``, ``F``, ``CF``, ``CR``), ``save`` and
+``load`` import it.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ class GrundyTable:
         # a shared table may have grown past n, so read lengths <= n only;
         # E[0, n] is the n-th int of the buffer, whose first row is phase 0
         self.eps[key] = table._E[n]
-        self._done[key] = row = tuple(table.move_classes(n)[0])
+        self._done[key] = row = tuple(table._moves(n, 0, 1))
         if n:
             self.colon[key] = row[0] if n > 1 else -1
         if 2 * period <= n:
@@ -166,11 +172,13 @@ def _kernel():
             lib = _compile(source, path)
         # every call passes integers, then array addresses
         for name, ints, arrays in (("fill", 3, 5), ("colon", 3, 4),
-                                   ("moves", 3, 3), ("scan_suffix", 2, 4),
+                                   ("moves", 5, 3), ("last_break", 5, 1),
+                                   ("scan_suffix", 2, 4),
                                    ("scan_block", 4, 7), ("scan_colon", 4, 4)):
             fn = getattr(lib, name)
             fn.argtypes = [ctypes.c_int64] * ints + [ctypes.c_void_p] * arrays
             fn.restype = None
+        lib.last_break.restype = ctypes.c_int64
         _KERNEL = lib
     return _KERNEL
 
@@ -258,13 +266,15 @@ class PeriodicTable:
     of the subword of length l that ends before end phase e, read forwards
     behind the colon file e - l - 1.  Each is held in one ``array("i")``
     buffer, ``_E``, ``_R`` and ``_F``, in C order, and ``E``, ``R`` and
-    ``F`` are numpy views of them, so only the code that reads whole arrays
-    imports numpy.  The compiled kernel (``_fill.c``) states the entry
-    format and the rules: its ``fill`` writes one length of all three
-    arrays at every phase, lengths 0 and 1 included, ``colon`` the colon
-    entries alone, for ``load``, and ``moves`` the classes that
-    ``move_classes`` returns.  ``save`` writes E alone, and ``CF`` and
-    ``CR`` decode F and R by start phase, -1 for loony.
+    ``F`` are numpy views of them for readers of whole arrays.  The
+    compiled kernel (``_fill.c``) states the entry format and the rules:
+    its ``fill`` writes one length of all three arrays at every phase,
+    lengths 0 and 1 included, ``colon`` the colon entries alone, for
+    ``load``, ``moves`` the classes that ``move_classes`` returns, and
+    ``last_break`` the last length at which a buffer breaks a period, for
+    ``detect_period`` and ``verify_period_window``.  ``save`` writes E
+    alone, and ``CF`` and ``CR`` decode F and R by start phase, -1 for
+    loony.
     """
 
     def __init__(self, pattern: PeriodicPattern, max_length: int = 0):
@@ -334,17 +344,22 @@ class PeriodicTable:
         start phase: p lists of L ints, -1 for loony.  Reads only lengths
         below L.  Raises ValueError unless 0 <= L <= n + 1 for a table of
         length n."""
+        out = self._moves(L, 0, self.p).tolist()
+        return [out[q * L:(q + 1) * L] for q in range(self.p)]
+
+    def _moves(self, L: int, first: int, count: int) -> array:
+        """The classes ``move_classes`` gives at the ``count`` start phases
+        from ``first`` on, one after another in one array."""
         # the arrays hold lengths 0..width - 1
         width, _, R, F = self._args[:4]
         if not 0 <= L <= width:
             raise ValueError(f"L = {L} is outside 0..{width} for a table "
                              f"of length {width - 1}")
-        if not L:  # an empty buffer has no address to write to
-            return [[] for _ in range(self.p)]
-        out = array("i", [0]) * (self.p * L)
-        self._kernel.moves(self.p, L, width, R, F, out.buffer_info()[0])
-        out = out.tolist()
-        return [out[i:i + L] for i in range(0, len(out), L)]
+        out = array("i", [0]) * (count * L)
+        if out:  # an empty buffer has no address to write to
+            self._kernel.moves(self.p, L, width, first, count, R, F,
+                               out.buffer_info()[0])
+        return out
 
     def values(self) -> array:
         """Component values for lengths 0..n at the pattern's file origin."""
@@ -424,18 +439,18 @@ def detect_period(values, pattern: PeriodicPattern,
     proper divisor of the family period).  It tries only multiples of the
     pattern's period p, the periods ``verify_period_window`` can prove.
     Without a table only the given value row is examined, which is an
-    observation, never verified.
+    observation, never verified.  Either way the kernel's ``last_break``
+    finds, for each candidate period P, the last length that breaks it.
     """
-    import numpy as np
     if table is not None:
-        rows, step = table.E[:, :table.n + 1], table.p
+        kernel, p, nmax = table._kernel, table.p, table.n
+        width, E = table._args[:2]
     else:
-        rows, step = np.asarray(values)[None, :], 1
-    nmax = rows.shape[1] - 1
-    for P in range(step, nmax // 2 + 1, step):
-        eq = (rows[:, P:] == rows[:, :-P]).all(axis=0)
-        bad = np.flatnonzero(~eq)
-        n0 = 0 if bad.size == 0 else int(bad[-1]) + 1
+        row = array("i", map(int, values))
+        kernel, p, nmax = _kernel(), 1, len(row) - 1
+        width, E = len(row), row.buffer_info()[0]
+    for P in range(p, nmax // 2 + 1, p):
+        n0 = kernel.last_break(p, width, P, nmax, P, E) + 1 - P
         if n0 + 2 * P <= nmax:
             window = (n0 + P, 2 * (n0 + P) + 3)
             verified = False
@@ -456,7 +471,11 @@ def verify_period_window(table: PeriodicTable, preperiod: int,
     must repeat too, from one length above the window's start: an entry of
     length l is made from values of length l - 1.  And the period must be
     a multiple of the pattern's period p, or a shift by it would move a
-    subword's colon file to another phase."""
+    subword's colon file to another phase.  Raises ValueError for a
+    negative preperiod or a period below 1."""
+    if preperiod < 0 or period < 1:
+        raise ValueError(f"need preperiod >= 0 and period >= 1, got "
+                         f"{preperiod} and {period}")
     hi = 2 * (preperiod + period) + 3
     lo = preperiod + period
     if table.n < hi:
@@ -464,11 +483,7 @@ def verify_period_window(table: PeriodicTable, preperiod: int,
             f"table filled to {table.n}, need {hi}")
     if period % table.p:
         return False
-    import numpy as np
-
-    def repeats(X, start):
-        return np.array_equal(X[:, start:hi + 1],
-                              X[:, start - period:hi + 1 - period])
-
-    return (repeats(table.E, lo) and repeats(table.R, lo + 1)
-            and repeats(table.F, lo + 1))
+    width, E, R, F = table._args[:4]
+    last_break = table._kernel.last_break
+    return all(last_break(table.p, width, start, hi, period, X) < start
+               for X, start in ((E, lo), (R, lo + 1), (F, lo + 1)))

@@ -194,12 +194,21 @@ _SINGLE_WORD_COMMANDS = [
 ]
 
 
+# the periodic runs, which detect and prove periods through the kernel
+_PERIODIC_COMMANDS = [
+    ["periodic", "--period", "14", "--stopped", "0,5", "--max-length", "600",
+     "--detect-period"],
+    ["tables", "--which", "p6", "--alpha-max", "5"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["--version"],
     ["embed", "--words", "1000"],
     ["oracle", "--word", "10"],
     ["eval", "11"],  # a usage error
     *_SINGLE_WORD_COMMANDS,
+    *_PERIODIC_COMMANDS,
 ])
 def test_light_subcommands_do_not_import_numpy(argv):
     # importing numpy costs about 0.1 s of each process's start
@@ -213,19 +222,45 @@ def test_light_subcommands_do_not_import_numpy(argv):
     assert out.splitlines()[-1] == "False"
 
 
-@pytest.mark.parametrize("argv", _SINGLE_WORD_COMMANDS,
-                         ids=lambda argv: argv[0])
-def test_single_word_commands_run_where_numpy_cannot_load(argv):
+def _assert_runs_where_numpy_cannot_load(argv):
     # an import of numpy raises ImportError here, so any path that still
-    # reached it would fail instead of printing what a normal run prints
+    # reached it would fail instead of printing what a normal run prints,
+    # on standard output or standard error
     script = ("import sys\n"
               "{}"
+              "sys.stderr = sys.stdout\n"
               "from pawnnim.cli import main\n"
               "print('exit', main(sys.argv[1:]))\n")
     blocked = _fresh_python(script.format("sys.modules['numpy'] = None\n"),
                             *argv)
     assert blocked == _fresh_python(script.format(""), *argv)
     assert blocked.splitlines()[-1] == "exit 0"
+
+
+@pytest.mark.parametrize("argv", _SINGLE_WORD_COMMANDS,
+                         ids=lambda argv: argv[0])
+def test_single_word_commands_run_where_numpy_cannot_load(argv):
+    _assert_runs_where_numpy_cannot_load(argv)
+
+
+@pytest.mark.parametrize("argv", _PERIODIC_COMMANDS,
+                         ids=["periodic", "tables-p6"])
+def test_periodic_commands_run_where_numpy_cannot_load(argv):
+    _assert_runs_where_numpy_cannot_load(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--length", "5", "--distribution"],
+    ["tables", "--which", "first-occurrence"],
+], ids=["scan", "tables-first-occurrence"])
+def test_rank_scan_commands_load_numpy(argv):
+    # the rank scan keeps its tables in numpy arrays, and imports numpy
+    # when it first runs
+    out = _fresh_python("import sys\n"
+                        "from pawnnim.cli import main\n"
+                        "main(sys.argv[1:])\n"
+                        "print('numpy' in sys.modules)\n", *argv)
+    assert out.splitlines()[-1] == "True"
 
 
 @pytest.mark.parametrize("preset, expected", [((), "1"), (("3",), "3")])

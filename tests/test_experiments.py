@@ -420,7 +420,7 @@ def test_periodic_scan_plain():
     assert result.report.period == 10
     assert result.report.preperiod == 0
     assert result.report.verified
-    assert int(result.values.max()) == 1
+    assert max(result.values) == 1
     assert result.milestones == {1: 1}
 
 

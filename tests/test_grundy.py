@@ -21,6 +21,7 @@ from pawnnim.words import PeriodicPattern, Word, enumerate_words, \
     word_from_pattern
 
 import reference_fill
+import reference_period
 
 
 @pytest.fixture(scope="module")
@@ -519,6 +520,96 @@ def test_verify_period_window_needs_a_multiple_of_the_pattern_period():
     assert (t.E == t.E[:1]).all()
     assert not verify_period_window(t, 0, 10)
     assert verify_period_window(t, 0, 30)
+
+
+def test_verify_period_window_needs_a_shift_of_one_length_or_more():
+    # the kernel compares entries a period apart, which a negative shift
+    # would read past the end of the table
+    t = PeriodicTable(PeriodicPattern(1, frozenset()), 30)
+    for preperiod, period in ((-1, 10), (0, 0), (0, -6)):
+        with pytest.raises(ValueError, match="preperiod >= 0"):
+            verify_period_window(t, preperiod, period)
+
+
+# tables of periods 1, 3, 6 and 14 that reach the proof window of the
+# period found, where there is one; p6's values grow, and nothing repeats
+_PERIOD_CASES = [(PeriodicPattern(1, frozenset()), 30),
+                 (PeriodicPattern(3, frozenset()), 80),
+                 (_P6, 300),
+                 (PeriodicPattern(14, frozenset({0, 5})), 3941)]
+
+
+@pytest.mark.parametrize("pattern, n", _PERIOD_CASES,
+                         ids=["p1", "p3", "p6", "p14"])
+def test_period_checks_match_the_numpy_reference(pattern, n):
+    # the kernel's last_break against tests/reference_period.py, on the
+    # table as filled and with one E, R or F entry flipped one length
+    # below the window, at its start and at its end, in the first and the
+    # last row
+    table = PeriodicTable(pattern, n)
+
+    def checks(preperiod, period):
+        return [(module.detect_period(table.values(), pattern, table),
+                 module.verify_period_window(table, preperiod, period))
+                for module in (grundy, reference_period)]
+
+    report = detect_period(table.values(), pattern, table)
+    assert (report is None) == (pattern == _P6)
+    # p6 is checked on the window of its own period from length 0
+    preperiod, period = ((report.preperiod, report.period) if report
+                         else (0, table.p))
+    got, want = checks(preperiod, period)
+    assert got == want
+    assert got[1] == (report is not None)
+    lo = preperiod + period
+    for name in ("E", "R", "F"):
+        for length in (lo - 1, lo, 2 * lo + 3):
+            for q in (0, table.p - 1):
+                getattr(table, name)[q, length] ^= 1
+                got, want = checks(preperiod, period)
+                assert got == want, (name, length, q)
+                assert not got[1], (name, length, q)
+                getattr(table, name)[q, length] ^= 1
+
+
+def test_values_only_detection_matches_the_numpy_reference():
+    # without a table the kernel reads an array("i") copy of the values,
+    # given as a list or a numpy array, of ints or of floats
+    pattern = PeriodicPattern(1, frozenset())
+    rows = [PeriodicTable(p, n).values() for p, n in _PERIOD_CASES]
+    for values in (*(row.tolist() for row in rows),
+                   *(np.asarray(row) for row in rows),
+                   np.zeros(12), np.arange(12), [], np.zeros(0)):
+        assert detect_period(values, pattern) == \
+            reference_period.detect_period(values, pattern), values
+    assert detect_period(np.zeros(12), pattern).period == 1
+    assert detect_period(np.arange(12), pattern) is None
+    assert detect_period([], pattern) is None
+
+
+def test_moves_of_a_run_of_phases(monkeypatch):
+    table = PeriodicTable(PeriodicPattern(14, frozenset({0, 5})), 60)
+    for L in (0, 1, 2, 3, 30, 61):
+        every = table.move_classes(L)
+        assert len(every) == 14 and all(len(row) == L for row in every)
+        for first, count in ((0, 1), (13, 1), (3, 5), (0, 14), (5, 0)):
+            assert table._moves(L, first, count).tolist() == \
+                sum(every[first:first + count], []), (L, first, count)
+    # a single word's table is asked for phase 0's moves alone;
+    # 0010010001 has no shorter period, so it is padded to period 11, with
+    # phase t at word position t
+    padded = PeriodicPattern(11, frozenset({2, 5, 9}), file_origin=11)
+    want = PeriodicTable(padded, 10).move_classes(10)[0]
+    asked = []
+    moves = PeriodicTable._moves
+
+    def recorded(self, L, first, count):
+        asked.append((first, count))
+        return moves(self, L, first, count)
+
+    monkeypatch.setattr(PeriodicTable, "_moves", recorded)
+    assert GrundyTable().move_classes(Word("0010010001")) == want
+    assert asked == [(0, 1)]
 
 
 def test_periodic_table_save_load(tmp_path):
