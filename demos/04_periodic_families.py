@@ -28,13 +28,9 @@ for power, length in sorted(scan.milestones.items()):
     print(f"  first *{power} at length {length}")
 print("(the run to length 3545 reaches *256; 21208 reaches *1024)")
 
-# Stopping files 0 and 5 mod 14 settles into period 504 = 36 * 14, but
-# only when all fourteen start phases are required to repeat together;
-# single phases settle into divisors like 126 much earlier.
+# Stopping files 0 and 5 mod 14 settles into period 504 = 36 * 14, with
+# all fourteen start phases required to repeat together.
 p14 = PeriodicPattern(14, frozenset({0, 5}))
-table = PeriodicTable(p14, 4000)
-rep = detect_period(table.values(), p14, table)
+rep = detect_period(PeriodicTable(p14, 4000))
 print(f"\nmod-14 pattern: period {rep.period} after preperiod "
       f"{rep.preperiod}, verified={rep.verified}")
-row_only = detect_period(table.values(), p14)  # single value row
-print(f"(the origin row alone repeats with period {row_only.period})")

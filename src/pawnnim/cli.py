@@ -7,10 +7,10 @@ tables (recompute built-in regression tables and diff), embed (chessboard
 diagrams).
 
 Exit status: 0 on success, 1 when a computation disagrees with a built-in
-table or an invariant fails or standard output is closed early, or when
-the compiled kernel is not cached and cannot be built (no C compiler), 2
-for usage or validation errors, 130 when interrupted (SIGINT, as by
-Ctrl-C).
+table or an invariant fails or standard output is closed early, when the
+compiled kernel is not cached and cannot be built (no C compiler), or
+when a table does not fit in memory, 2 for usage or validation errors,
+130 when interrupted (SIGINT, as by Ctrl-C).
 """
 
 from __future__ import annotations
@@ -360,9 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=9)
     p.add_argument("--width", type=int,
                    help="board files (default: from the components)")
-    p.add_argument("--format", choices=["ascii", "fen"], default="ascii")
-    p.add_argument("--output", default="-", metavar="PATH",
-                   help="output file, '-' for standard output")
+    add_output(p, ["ascii", "fen"])
     p.set_defaults(func=cmd_embed)
     return parser
 
@@ -387,6 +385,9 @@ def main(argv=None) -> int:
         return USAGE
     except KernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return MISMATCH
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return MISMATCH
     except KeyboardInterrupt:
         # _output has already removed its temporary file

@@ -364,7 +364,7 @@ def periodic_scan(pattern: PeriodicPattern, max_length: int,
     table = PeriodicTable(pattern, max_length)
     values = table.values()
     milestones = power_milestones(values)
-    report = detect_period(values, pattern, table) if detect else None
+    report = detect_period(table) if detect else None
     return PeriodicScanResult(pattern, max_length, values, milestones, report)
 
 

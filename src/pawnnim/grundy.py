@@ -149,27 +149,33 @@ class InsufficientTableError(ValueError):
 _LOONY = 1 << 30  # the loony bit of a colon entry
 
 _KERNEL = None  # the loaded ``_fill.c``
+_SOURCE = os.path.join(os.path.dirname(__file__), "_fill.c")
+
+
+def _library_path() -> str:
+    """Where the build of ``_fill.c`` is cached:
+    ``_fill-<sha256 of the source>-<platform>.so`` in
+    ``$XDG_CACHE_HOME/pawnnim``, ``~/.cache/pawnnim`` by default."""
+    import sysconfig
+    with open(_SOURCE, "rb") as fh:
+        digest = _sha256(fh.read())
+    cache = os.path.join(os.path.expanduser(
+        os.environ.get("XDG_CACHE_HOME") or "~/.cache"), "pawnnim")
+    return os.path.join(cache,
+                        f"_fill-{digest}-{sysconfig.get_platform()}.so")
 
 
 def _kernel():
     """The compiled fill: ``_fill.c``, built with ``cc`` on first use and
-    cached as ``_fill-<sha256 of the source>-<platform>.so`` in
-    ``$XDG_CACHE_HOME/pawnnim``, ``~/.cache/pawnnim`` by default."""
+    cached at ``_library_path()``."""
     global _KERNEL
     if _KERNEL is None:
         import ctypes
-        import sysconfig
-        source = os.path.join(os.path.dirname(__file__), "_fill.c")
-        with open(source, "rb") as fh:
-            digest = _sha256(fh.read())
-        cache = os.path.join(os.path.expanduser(
-            os.environ.get("XDG_CACHE_HOME") or "~/.cache"), "pawnnim")
-        path = os.path.join(
-            cache, f"_fill-{digest}-{sysconfig.get_platform()}.so")
+        path = _library_path()
         try:
             lib = ctypes.CDLL(path)
         except OSError:  # not built yet, or a damaged build
-            lib = _compile(source, path)
+            lib = _compile(_SOURCE, path)
         # every call passes integers, then array addresses
         for name, ints, arrays in (("fill", 3, 5), ("colon", 3, 4),
                                    ("moves", 5, 3), ("last_break", 5, 1),
@@ -428,35 +434,26 @@ class PeriodReport:
     window: tuple
 
 
-def detect_period(values, pattern: PeriodicPattern,
-                  table: Optional[PeriodicTable] = None):
-    """Smallest (period, preperiod) with the matched stretch spanning at
-    least two periods; None when nothing repeats within the data.
+def detect_period(table: PeriodicTable) -> Optional[PeriodReport]:
+    """Smallest (period, preperiod) of the table's values with the matched
+    stretch spanning at least two periods; None when nothing repeats.
 
-    With a phase table the search runs over every start phase at once:
-    the recursion for one phase reads the others, so only a simultaneous
-    repeat supports the window argument (single rows can settle into a
-    proper divisor of the family period).  It tries only multiples of the
-    pattern's period p, the periods ``verify_period_window`` can prove.
-    Without a table only the given value row is examined, which is an
-    observation, never verified.  Either way the kernel's ``last_break``
-    finds, for each candidate period P, the last length that breaks it.
+    The search runs over every start phase at once: the recursion for one
+    phase reads the others, so only a simultaneous repeat supports the
+    window argument (single rows can settle into a proper divisor of the
+    family period).  It tries only multiples of the pattern's period p,
+    the periods ``verify_period_window`` can prove, and the kernel's
+    ``last_break`` finds, for each candidate period P, the last length
+    that breaks it.
     """
-    if table is not None:
-        kernel, p, nmax = table._kernel, table.p, table.n
-        width, E = table._args[:2]
-    else:
-        row = array("i", map(int, values))
-        kernel, p, nmax = _kernel(), 1, len(row) - 1
-        width, E = len(row), row.buffer_info()[0]
+    kernel, p, nmax = table._kernel, table.p, table.n
+    width, E = table._args[:2]
     for P in range(p, nmax // 2 + 1, p):
         n0 = kernel.last_break(p, width, P, nmax, P, E) + 1 - P
         if n0 + 2 * P <= nmax:
             window = (n0 + P, 2 * (n0 + P) + 3)
-            verified = False
-            if table is not None and table.n >= window[1]:
-                verified = verify_period_window(table, n0, P)
-            return PeriodReport(pattern, n0, P, verified, window)
+            verified = nmax >= window[1] and verify_period_window(table, n0, P)
+            return PeriodReport(table.pattern, n0, P, verified, window)
     return None
 
 

@@ -13,23 +13,19 @@ import numpy as np
 from pawnnim.grundy import InsufficientTableError, PeriodReport
 
 
-def detect_period(values, pattern, table=None):
+def detect_period(table):
     """The report ``pawnnim.grundy.detect_period`` gives."""
-    if table is not None:
-        rows, step = table.E[:, :table.n + 1], table.p
-    else:
-        rows, step = np.asarray(values)[None, :], 1
-    nmax = rows.shape[1] - 1
-    for P in range(step, nmax // 2 + 1, step):
+    rows, nmax = table.E, table.n
+    for P in range(table.p, nmax // 2 + 1, table.p):
         eq = (rows[:, P:] == rows[:, :-P]).all(axis=0)
         bad = np.flatnonzero(~eq)
         n0 = 0 if bad.size == 0 else int(bad[-1]) + 1
         if n0 + 2 * P <= nmax:
             window = (n0 + P, 2 * (n0 + P) + 3)
             verified = False
-            if table is not None and table.n >= window[1]:
+            if nmax >= window[1]:
                 verified = verify_period_window(table, n0, P)
-            return PeriodReport(pattern, n0, P, verified, window)
+            return PeriodReport(table.pattern, n0, P, verified, window)
     return None
 
 

@@ -150,13 +150,13 @@ def test_a9_periodicity():
     plain = PeriodicPattern(1, frozenset())
     from pawnnim.grundy import PeriodicTable
     t = PeriodicTable(plain, 23)
-    rep = detect_period(t.values(), plain, t)
+    rep = detect_period(t)
     plain_ok = (rep.period, rep.preperiod, rep.verified,
                 rep.window) == (10, 0, True, (10, 23))
 
     p14 = PeriodicPattern(14, frozenset({0, 5}))
     t14 = PeriodicTable(p14, 5000)
-    rep14 = detect_period(t14.values(), p14, t14)
+    rep14 = detect_period(t14)
     p14_ok = (rep14 is not None and rep14.period == P14_PERIOD
               and rep14.verified)
     report("A9", plain_ok and p14_ok,

@@ -122,6 +122,11 @@ def test_periodic_plain_detects_period(capsys):
                          "--output", "-")
     assert code == 0
     assert "period 10 after preperiod 0 (verified" in err
+    # length 21 shows period 10 twice over, short of the proof window
+    code, _, err = run(capsys, "periodic", "--period", "1", "--max-length",
+                       "21", "--detect-period")
+    assert code == 0
+    assert err == "period 10 after preperiod 0 (observed, window 10..23)\n"
 
 
 def test_periodic_bad_pattern_usage_error(capsys):
@@ -525,6 +530,21 @@ def test_oracle_resource_limit_exits_one_without_traceback(capsys,
     assert code == 1
     assert out == ""
     assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+def test_table_too_large_for_memory_exits_one_with_one_line(tmp_path):
+    # the table asks for 4 PB, which no allocation can give, so the
+    # request fails at once
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"old report\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pawnnim.cli", "periodic", "--period", "1",
+         "--max-length", str(10 ** 15), "--output", str(path)],
+        capture_output=True, text=True, env=_package_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: out of memory\n")
+    assert path.read_bytes() == b"old report\n"
+    assert os.listdir(tmp_path) == ["keep.csv"]
 
 
 def test_embed_command(capsys):

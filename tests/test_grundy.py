@@ -14,8 +14,8 @@ from pawnnim import grundy
 from pawnnim.engine import classify_move
 from pawnnim.experiments import ScanTables, periodic_scan, write_report
 from pawnnim.grundy import (GrundyTable, InsufficientTableError,
-                            PeriodicTable, detect_period, epsilon,
-                            epsilon_plain, loony_plain, mex,
+                            PeriodicTable, PeriodReport, detect_period,
+                            epsilon, epsilon_plain, loony_plain, mex,
                             verify_period_window)
 from pawnnim.words import PeriodicPattern, Word, enumerate_words, \
     word_from_pattern
@@ -463,10 +463,13 @@ def test_single_words_across_the_mex_switch():
 def test_detect_period_plain():
     pattern = PeriodicPattern(1, frozenset())
     t = PeriodicTable(pattern, 30)
-    report = detect_period(t.values(), pattern, t)
+    report = detect_period(t)
     assert (report.preperiod, report.period) == (0, 10)
     assert report.verified
     assert report.window == (10, 23)
+    # length 21 shows period 10 twice over, short of the proof window
+    assert detect_period(PeriodicTable(pattern, 21)) == \
+        PeriodReport(pattern, 0, 10, False, (10, 23))
 
 
 def test_detect_period_tries_multiples_of_the_pattern_period():
@@ -474,18 +477,10 @@ def test_detect_period_tries_multiples_of_the_pattern_period():
     # every 10 files, but only a multiple of 3 can be proved
     pattern = PeriodicPattern(3, frozenset())
     t = PeriodicTable(pattern, 80)
-    report = detect_period(t.values(), pattern, t)
+    report = detect_period(t)
     assert (report.preperiod, report.period) == (0, 30)
     assert report.verified
     assert report.window == (30, 63)
-
-
-def test_detect_period_constant_and_absent():
-    pattern = PeriodicPattern(1, frozenset())
-    constant = detect_period(np.zeros(12, dtype=int), pattern)
-    assert constant.period == 1 and constant.preperiod == 0
-    assert not constant.verified  # no table given
-    assert detect_period(np.arange(12), pattern) is None
 
 
 def test_verify_period_window_plain():
@@ -549,11 +544,11 @@ def test_period_checks_match_the_numpy_reference(pattern, n):
     table = PeriodicTable(pattern, n)
 
     def checks(preperiod, period):
-        return [(module.detect_period(table.values(), pattern, table),
+        return [(module.detect_period(table),
                  module.verify_period_window(table, preperiod, period))
                 for module in (grundy, reference_period)]
 
-    report = detect_period(table.values(), pattern, table)
+    report = detect_period(table)
     assert (report is None) == (pattern == _P6)
     # p6 is checked on the window of its own period from length 0
     preperiod, period = ((report.preperiod, report.period) if report
@@ -570,21 +565,6 @@ def test_period_checks_match_the_numpy_reference(pattern, n):
                 assert got == want, (name, length, q)
                 assert not got[1], (name, length, q)
                 getattr(table, name)[q, length] ^= 1
-
-
-def test_values_only_detection_matches_the_numpy_reference():
-    # without a table the kernel reads an array("i") copy of the values,
-    # given as a list or a numpy array, of ints or of floats
-    pattern = PeriodicPattern(1, frozenset())
-    rows = [PeriodicTable(p, n).values() for p, n in _PERIOD_CASES]
-    for values in (*(row.tolist() for row in rows),
-                   *(np.asarray(row) for row in rows),
-                   np.zeros(12), np.arange(12), [], np.zeros(0)):
-        assert detect_period(values, pattern) == \
-            reference_period.detect_period(values, pattern), values
-    assert detect_period(np.zeros(12), pattern).period == 1
-    assert detect_period(np.arange(12), pattern) is None
-    assert detect_period([], pattern) is None
 
 
 def test_moves_of_a_run_of_phases(monkeypatch):
