@@ -21,7 +21,7 @@ _MODULE_OF = {
                      "enumerate_words", "word_from_pattern"), "words"),
     "classify_move": "engine",
     **dict.fromkeys(("GrundyTable", "epsilon", "epsilon_plain",
-                     "loony_plain", "mex", "PeriodicTable", "PeriodReport",
+                     "loony_plain", "PeriodicTable", "PeriodReport",
                      "detect_period", "verify_period_window"), "grundy"),
     **dict.fromkeys(("BoardPosition", "initial_position", "legal_moves",
                      "outcome", "oracle_epsilon", "oracle_is_loony"),

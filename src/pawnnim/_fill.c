@@ -113,23 +113,21 @@ static inline int32_t class(uint32_t c)
     return c < SIDE_R ? (int32_t)c : -1;
 }
 
-/* The class of every move of the length-L words, 0 <= L <= width, at
-   the count start phases from first on, first + count <= p, into the
-   count x L array out, -1 for loony.  A lone file's move is worth 0. */
-void moves(int64_t p, int64_t L, int64_t width, int64_t first,
-           int64_t count, const int32_t *R, const int32_t *F, int32_t *out)
+/* The class of every move of the length-L word at start phase q,
+   0 <= L <= width and q < p, into the L ints of out, -1 for loony.  A
+   lone file's move is worth 0. */
+void moves(int64_t p, int64_t L, int64_t width, int64_t q,
+           const int32_t *R, const int32_t *F, int32_t *out)
 {
     if (L < 2) {
-        memset(out, 0, count * L * sizeof *out);
+        memset(out, 0, L * sizeof *out);
         return;
     }
-    for (int64_t q = first; q < first + count; q++, out += L) {
-        const int32_t *r = R + q * width, *t = tails(p, L, width, F, q);
-        out[0] = class(t[0]);
-        for (int64_t k = 1; k < L - 1; k++)
-            out[k] = class(interior(r, t, k));
-        out[L - 1] = class(r[L - 1]);
-    }
+    const int32_t *r = R + q * width, *t = tails(p, L, width, F, q);
+    out[0] = class(t[0]);
+    for (int64_t k = 1; k < L - 1; k++)
+        out[k] = class(interior(r, t, k));
+    out[L - 1] = class(r[L - 1]);
 }
 
 /* The largest length l in lo..hi, P <= lo, at which some phase q has

@@ -199,18 +199,6 @@ def render(diag: ChessDiagram, format: str = "ascii") -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
-def parse_render(text: str, format: str = "ascii") -> ChessDiagram:
-    """Inverse of render, for round-trip checks."""
-    if format == "ascii":
-        lines = [ln for ln in text.splitlines() if ln]
-    elif format == "fen":
-        lines = re.sub(r"\d+", lambda run: "." * int(run[0]), text).split("/")
-    else:
-        raise ValueError(f"unknown format {format!r}")
-    return ChessDiagram(len(lines), len(lines[0]),
-                        [list(ln) for ln in reversed(lines)])
-
-
 def extract_components(diag: ChessDiagram) -> "list[Word]":
     """Read the component words back out of a diagram: a component file
     holds the squares of an open file, and on boards of height 9 or more it

@@ -21,6 +21,7 @@ reads the phase table's ``array`` buffers, so ``periodic`` and ``tables
 
 from __future__ import annotations
 
+import errno
 import json
 import mmap
 from array import array
@@ -77,11 +78,17 @@ def two_sig_figs(x: float) -> float:
 def _mapped(size: int, dtypes) -> list:
     """Arrays of ``size`` entries, one of each dtype, as views of one
     anonymous memory map, which goes back to the system when the last view
-    is dropped and leaves the allocator's thresholds alone."""
+    is dropped and leaves the allocator's thresholds alone.  Raises
+    MemoryError when the system cannot map it."""
     import numpy as np
     dtypes = [np.dtype(t) for t in dtypes]
     at = np.cumsum([0] + [size * t.itemsize for t in dtypes]).tolist()
-    buf = mmap.mmap(-1, max(at[-1], 1))  # an empty map is an error
+    try:
+        buf = mmap.mmap(-1, max(at[-1], 1))  # an empty map is an error
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(exc.strerror) from None
     return [np.frombuffer(buf, t, size, o) for t, o in zip(dtypes, at)]
 
 
@@ -151,14 +158,10 @@ class ScanTables:
         self.chunk_size = chunk_size
         self.workers = workers
         self._kernel = _kernel()  # loaded here, before any worker starts
-        self.C = [1, 2]  # valid word counts by length
+        # valid word counts by length, to the colon tier of the longest scan
+        self.C = [count_words(m) for m in range(MAX_SCAN_LENGTH + 2)]
         self.EPS = [np.zeros(1, dtype=np.int8)]
         self.CL = [np.full(2, 128, dtype=np.uint8)]  # 0 and 1 have no u[1]
-
-    def _count(self, n: int) -> int:
-        while len(self.C) <= n:
-            self.C.append(self.C[-1] + self.C[-2])
-        return self.C[n]
 
     @property
     def max_length(self) -> int:
@@ -189,7 +192,7 @@ class ScanTables:
         import numpy as np
         if len(self.CL) < m:  # else a failed try at tier m built it
             self._colon_tier(m - 1)
-        eps = np.empty(self._count(m), dtype=np.int8)
+        eps = np.empty(self.C[m], dtype=np.int8)
         if m == 1:
             eps[:] = 1
         else:
@@ -214,7 +217,7 @@ class ScanTables:
         """Append CL[m], then drop EPS[m - 1], whose values it holds."""
         import numpy as np
         C, size = self.C, self.chunk_size
-        cl = np.empty(self._count(m + 1), dtype=np.uint8)
+        cl = np.empty(self.C[m + 1], dtype=np.uint8)
         if m == 1:
             # 00, 01 and 10 are loony and leave an empty piece; 01 has a
             # stopped u[1]
@@ -250,7 +253,9 @@ class ScanTables:
         worker's exception reaches the caller.  An exception in a worker,
         or one that ends the caller's wait (an interrupt), sets a stop flag
         that the other workers read between items, so the caller goes on
-        once each has finished the item at hand."""
+        once each has finished the item at hand.  A worker thread that
+        cannot start raises MemoryError, once the started ones have
+        stopped."""
         shares = [items[i::self.workers]
                   for i in range(min(self.workers, len(items)))]
         if len(shares) < 2:
@@ -271,7 +276,11 @@ class ScanTables:
 
         with ThreadPoolExecutor(max_workers=len(shares)) as pool:
             try:
-                list(pool.map(run, shares))
+                try:
+                    done = pool.map(run, shares)  # starts the threads
+                except RuntimeError as exc:  # "can't start new thread"
+                    raise MemoryError(str(exc)) from None
+                list(done)
             except BaseException:
                 stop.set()
                 raise
@@ -285,16 +294,17 @@ class ScanTables:
     # -- queries ------------------------------------------------------------
 
     def unrank(self, m: int, rank: int) -> Word:
-        if m < 0 or not 0 <= rank < self._count(m):
+        C = self.C
+        if not 0 <= m < len(C) or not 0 <= rank < C[m]:
             raise ValueError(f"no word of length {m} has rank {rank}")
         flags = []
         n, r = m, int(rank)
         while n > 0:
-            if r < self._count(n - 1):
+            if r < C[n - 1]:
                 flags.append(0)
                 n -= 1
             else:
-                r -= self._count(n - 1)
+                r -= C[n - 1]
                 flags.append(1)
                 if n >= 2:
                     flags.append(0)
@@ -303,12 +313,11 @@ class ScanTables:
 
     def rank(self, word: Word) -> int:
         require_valid(word)
-        r = 0
         n = len(word)
-        for i, flag in enumerate(word):
-            if flag:
-                r += self._count(n - 1 - i)
-        return r
+        if n >= len(self.C):
+            raise ValueError(f"ranks cover words of at most {len(self.C) - 1} "
+                             f"files, got {n}")
+        return sum(self.C[n - 1 - i] for i, flag in enumerate(word) if flag)
 
 
 def _chunks(tables: ScanTables, m: int):

@@ -20,19 +20,6 @@ from . import KernelError, reference
 from .words import PeriodicPattern, Word, require_valid
 
 
-def mex(values) -> int:
-    """Least nonnegative integer not in ``values``."""
-    seen = 0
-    for v in values:
-        if v >= 0:
-            seen |= 1 << v
-    m = 0
-    while seen & 1:
-        seen >>= 1
-        m += 1
-    return m
-
-
 class GrundyTable:
     """Values and move classes of single words, read from phase tables.
 
@@ -83,7 +70,7 @@ class GrundyTable:
         # a shared table may have grown past n, so read lengths <= n only;
         # E[0, n] is the n-th int of the buffer, whose first row is phase 0
         self.eps[key] = table._E[n]
-        self._done[key] = row = tuple(table._moves(n, 0, 1))
+        self._done[key] = row = tuple(table._moves(n, 0))
         if n:
             self.colon[key] = row[0] if n > 1 else -1
         if 2 * period <= n:
@@ -178,7 +165,7 @@ def _kernel():
             lib = _compile(_SOURCE, path)
         # every call passes integers, then array addresses
         for name, ints, arrays in (("fill", 3, 5), ("colon", 3, 4),
-                                   ("moves", 5, 3), ("last_break", 5, 1),
+                                   ("moves", 4, 3), ("last_break", 5, 1),
                                    ("scan_suffix", 2, 4),
                                    ("scan_block", 4, 7), ("scan_colon", 4, 4)):
             fn = getattr(lib, name)
@@ -276,11 +263,11 @@ class PeriodicTable:
     compiled kernel (``_fill.c``) states the entry format and the rules:
     its ``fill`` writes one length of all three arrays at every phase,
     lengths 0 and 1 included, ``colon`` the colon entries alone, for
-    ``load``, ``moves`` the classes that ``move_classes`` returns, and
-    ``last_break`` the last length at which a buffer breaks a period, for
-    ``detect_period`` and ``verify_period_window``.  ``save`` writes E
-    alone, and ``CF`` and ``CR`` decode F and R by start phase, -1 for
-    loony.
+    ``load``, ``moves`` one phase's row of the classes that
+    ``move_classes`` returns, and ``last_break`` the last length at which
+    a buffer breaks a period, for ``detect_period`` and
+    ``verify_period_window``.  ``save`` writes E alone, and ``CF`` and
+    ``CR`` decode F and R by start phase, -1 for loony.
     """
 
     def __init__(self, pattern: PeriodicPattern, max_length: int = 0):
@@ -350,20 +337,18 @@ class PeriodicTable:
         start phase: p lists of L ints, -1 for loony.  Reads only lengths
         below L.  Raises ValueError unless 0 <= L <= n + 1 for a table of
         length n."""
-        out = self._moves(L, 0, self.p).tolist()
-        return [out[q * L:(q + 1) * L] for q in range(self.p)]
+        return [self._moves(L, q).tolist() for q in range(self.p)]
 
-    def _moves(self, L: int, first: int, count: int) -> array:
-        """The classes ``move_classes`` gives at the ``count`` start phases
-        from ``first`` on, one after another in one array."""
+    def _moves(self, L: int, q: int) -> array:
+        """The classes ``move_classes`` gives at start phase q."""
         # the arrays hold lengths 0..width - 1
         width, _, R, F = self._args[:4]
         if not 0 <= L <= width:
             raise ValueError(f"L = {L} is outside 0..{width} for a table "
                              f"of length {width - 1}")
-        out = array("i", [0]) * (count * L)
+        out = array("i", [0]) * L
         if out:  # an empty buffer has no address to write to
-            self._kernel.moves(self.p, L, width, first, count, R, F,
+            self._kernel.moves(self.p, L, width, q, R, F,
                                out.buffer_info()[0])
         return out
 
@@ -422,16 +407,30 @@ class PeriodicTable:
         return table
 
 
+def _proof_window(preperiod: int, period: int) -> tuple:
+    """(lo, hi), the lengths on which ``verify_period_window`` requires the
+    values to repeat with ``period`` after ``preperiod``: from preperiod +
+    period up to twice that plus three.  Three is the most files one
+    compound move removes (interior exchanges delete three, end exchanges
+    two), so agreement on this window forces agreement everywhere above
+    the preperiod."""
+    lo = preperiod + period
+    return lo, 2 * lo + 3
+
+
 @dataclass
 class PeriodReport:
-    """Observed eventual periodicity of a value sequence.  ``verified``
-    is set only when the doubling-window check passed on every phase."""
+    """Observed eventual periodicity of a phase table's values, with the
+    ``_proof_window`` it needs.  ``verified`` is set only when the
+    doubling-window check passed on every phase."""
 
-    pattern: PeriodicPattern
     preperiod: int
     period: int
     verified: bool
-    window: tuple
+
+    @property
+    def window(self) -> tuple:
+        return _proof_window(self.preperiod, self.period)
 
 
 def detect_period(table: PeriodicTable) -> Optional[PeriodReport]:
@@ -451,30 +450,27 @@ def detect_period(table: PeriodicTable) -> Optional[PeriodReport]:
     for P in range(p, nmax // 2 + 1, p):
         n0 = kernel.last_break(p, width, P, nmax, P, E) + 1 - P
         if n0 + 2 * P <= nmax:
-            window = (n0 + P, 2 * (n0 + P) + 3)
-            verified = nmax >= window[1] and verify_period_window(table, n0, P)
-            return PeriodReport(table.pattern, n0, P, verified, window)
+            verified = (nmax >= _proof_window(n0, P)[1]
+                        and verify_period_window(table, n0, P))
+            return PeriodReport(n0, P, verified)
     return None
 
 
 def verify_period_window(table: PeriodicTable, preperiod: int,
                          period: int) -> bool:
     """Doubling-window proof check: values must repeat with the claimed
-    period, on every start phase, for all lengths from preperiod+period up
-    to twice (preperiod+period) plus three.  Three is the most files one
-    compound move removes (interior exchanges delete three, end exchanges
-    two), so agreement on this window forces agreement everywhere above
-    the preperiod.  The moves also read the colon entries R and F, so they
-    must repeat too, from one length above the window's start: an entry of
-    length l is made from values of length l - 1.  And the period must be
-    a multiple of the pattern's period p, or a shift by it would move a
-    subword's colon file to another phase.  Raises ValueError for a
-    negative preperiod or a period below 1."""
+    period, on every start phase, on the ``_proof_window`` of preperiod
+    and period, which forces agreement everywhere above the preperiod.
+    The moves also read the colon entries R and F, so they must repeat too,
+    from one length above the window's start: an entry of length l is
+    made from values of length l - 1.  And the period must be a multiple
+    of the pattern's period p, or a shift by it would move a subword's
+    colon file to another phase.  Raises ValueError for a negative
+    preperiod or a period below 1."""
     if preperiod < 0 or period < 1:
         raise ValueError(f"need preperiod >= 0 and period >= 1, got "
                          f"{preperiod} and {period}")
-    hi = 2 * (preperiod + period) + 3
-    lo = preperiod + period
+    lo, hi = _proof_window(preperiod, period)
     if table.n < hi:
         raise InsufficientTableError(
             f"table filled to {table.n}, need {hi}")

@@ -21,20 +21,26 @@ def detect_period(table):
         bad = np.flatnonzero(~eq)
         n0 = 0 if bad.size == 0 else int(bad[-1]) + 1
         if n0 + 2 * P <= nmax:
-            window = (n0 + P, 2 * (n0 + P) + 3)
             verified = False
-            if nmax >= window[1]:
+            if nmax >= _window(n0, P)[1]:
                 verified = verify_period_window(table, n0, P)
-            return PeriodReport(table.pattern, n0, P, verified, window)
+            report = PeriodReport(n0, P, verified)
+            assert report.window == _window(n0, P)
+            return report
     return None
+
+
+def _window(preperiod, period):
+    """The doubling window: from preperiod + period to twice that plus
+    three, the most files one compound move removes."""
+    return preperiod + period, 2 * (preperiod + period) + 3
 
 
 def verify_period_window(table, preperiod, period):
     """The verdict of ``pawnnim.grundy.verify_period_window``: E repeats
     with the period from preperiod + period to the window's end, and R
     and F from one length higher."""
-    hi = 2 * (preperiod + period) + 3
-    lo = preperiod + period
+    lo, hi = _window(preperiod, period)
     if table.n < hi:
         raise InsufficientTableError(
             f"table filled to {table.n}, need {hi}")

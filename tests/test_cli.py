@@ -1,6 +1,8 @@
 import ctypes
+import errno
 import hashlib
 import json
+import mmap
 import os
 import random
 import shlex
@@ -8,11 +10,14 @@ import stat
 import subprocess
 import sys
 import sysconfig
+import threading
 
 import pytest
 
 from pawnnim import cli, experiments, oracle
 from pawnnim.cli import main
+from pawnnim.grundy import PeriodicTable
+from pawnnim.words import PeriodicPattern
 
 DIAG_STOPPED_ONLY = """\
 ...........k
@@ -127,6 +132,24 @@ def test_periodic_plain_detects_period(capsys):
                        "21", "--detect-period")
     assert code == 0
     assert err == "period 10 after preperiod 0 (observed, window 10..23)\n"
+
+
+def test_periodic_origin(capsys):
+    argv = ["periodic", "--period", "5", "--stopped", "2", "--max-length",
+            "40"]
+    code, out, err = run(capsys, *argv, "--origin", "3")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [line[0] for line in lines[:2]] == ["#", "#"]
+    values = PeriodicTable(PeriodicPattern(5, frozenset({2}), 3),
+                           40).values()
+    assert lines[2:] == [f"{n},{v}" for n, v in enumerate(values)]
+    # the origin changes the values
+    assert values != PeriodicTable(PeriodicPattern(5, frozenset({2})),
+                                   40).values()
+    code, out, err = run(capsys, *argv, "--origin", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_periodic_bad_pattern_usage_error(capsys):
@@ -542,6 +565,29 @@ def test_table_too_large_for_memory_exits_one_with_one_line(tmp_path):
          "--max-length", str(10 ** 15), "--output", str(path)],
         capture_output=True, text=True, env=_package_env(), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: out of memory\n")
+    assert path.read_bytes() == b"old report\n"
+    assert os.listdir(tmp_path) == ["keep.csv"]
+
+
+@pytest.mark.parametrize("failure", ["mmap", "thread"])
+def test_scan_out_of_memory_exits_one_with_one_line(capsys, monkeypatch,
+                                                    tmp_path, failure):
+    # the scan's own allocations fail as they do when memory runs out: its
+    # anonymous maps with ENOMEM, and its second worker thread unable to
+    # start (tier 22 is the first with two blocks)
+    if failure == "mmap":
+        def refuse(*args):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+        monkeypatch.setattr(mmap, "mmap", refuse)
+    else:
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"old report\n")
+    assert run(capsys, "scan", "--length", "22", "--distribution",
+               "--workers", "2", "--output", str(path)) == (
         1, "", "error: out of memory\n")
     assert path.read_bytes() == b"old report\n"
     assert os.listdir(tmp_path) == ["keep.csv"]

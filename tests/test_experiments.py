@@ -164,13 +164,39 @@ def test_a_failing_block_reaches_the_caller():
     _assert_same_tables(st, ref)
 
 
+def test_a_worker_thread_that_cannot_start_is_out_of_memory(monkeypatch):
+    # worker 0 is in its first item when worker 1's thread cannot start;
+    # the caller gets MemoryError once worker 0 has stopped, after that item
+    st = ScanTables(workers=2)
+    start = threading.Thread.start
+    failed = threading.Event()
+    started, done = [], []
+
+    def start_once(thread):
+        if started:
+            failed.set()
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    def work(share):
+        for item in share:
+            assert failed.wait(30)
+            time.sleep(0.2)  # the caller sets the stop flag
+            done.append(item)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    with pytest.raises(MemoryError):
+        st._run([0, 1, 2, 3], work)
+    assert not started[0].is_alive() and done == [0]
+
+
 def test_an_interrupted_worker_stops_the_other_shares():
     # worker 0 is interrupted in its first block of tier 12 while worker 1
     # is in its first; worker 1 then reads the stop flag and starts no
     # other block of its share, and the interrupt reaches the caller
     st = ScanTables(chunk_size=20, workers=2)
     st.build(11)
-    st._count(12)
     blocks = st._blocks(12)
     share1 = {start for _, start, _ in blocks[1::2]}
     assert len(share1) >= 3
@@ -358,7 +384,8 @@ def test_rank_steps_fit_in_int32():
 
 def test_unrank_refuses_ranks_outside_the_length(tables):
     assert str(tables.unrank(3, 4)) == "101"
-    for m, rank in ((3, 100), (3, 5), (3, -1), (0, 1), (-1, 0)):
+    # ranks reach the colon tier of the longest scan, length 45
+    for m, rank in ((3, 100), (3, 5), (3, -1), (0, 1), (-1, 0), (46, 0)):
         with pytest.raises(ValueError):
             tables.unrank(m, rank)
 
@@ -368,6 +395,9 @@ def test_rank_refuses_invalid_words(tables):
     for word in ("011", "11"):
         with pytest.raises(ValueError, match="invalid word"):
             tables.rank(Word(word))
+    assert tables.rank(Word("1" + "0" * 44)) == count_words(44)
+    with pytest.raises(ValueError, match="at most 45 files"):
+        tables.rank(Word("0" * 46))
 
 
 def test_first_occurrence_small(tables):

@@ -15,7 +15,7 @@ from pawnnim.engine import classify_move
 from pawnnim.experiments import ScanTables, periodic_scan, write_report
 from pawnnim.grundy import (GrundyTable, InsufficientTableError,
                             PeriodicTable, PeriodReport, detect_period,
-                            epsilon, epsilon_plain, loony_plain, mex,
+                            epsilon, epsilon_plain, loony_plain,
                             verify_period_window)
 from pawnnim.words import PeriodicPattern, Word, enumerate_words, \
     word_from_pattern
@@ -27,14 +27,6 @@ import reference_period
 @pytest.fixture(scope="module")
 def table():
     return GrundyTable()
-
-
-def test_mex():
-    assert mex([]) == 0
-    assert mex([1]) == 0
-    assert mex([0, 1]) == 2
-    assert mex([0, 2, 3]) == 1
-    assert mex([-1, 0, 1]) == 2  # loony markers are ignored
 
 
 def test_epsilon_known_values(table):
@@ -137,7 +129,9 @@ def test_single_words_agree_with_rank_scan(small_words):
     for w, value, moves, colons in small_words[1]:
         m, rank = len(w), scan.rank(w)
         assert value == values[m][rank], str(w)
-        assert mex(moves) == value, str(w)
+        # the value is the least class no move has; -1, loony, is no class
+        assert value not in moves, str(w)
+        assert set(range(value)) <= set(moves), str(w)
         for und, cls in colons.items():
             byte = scan.CL[m][und * scan.C[m] + rank]
             assert cls == (-1 if byte & 128 else byte), (und, str(w))
@@ -468,8 +462,9 @@ def test_detect_period_plain():
     assert report.verified
     assert report.window == (10, 23)
     # length 21 shows period 10 twice over, short of the proof window
-    assert detect_period(PeriodicTable(pattern, 21)) == \
-        PeriodReport(pattern, 0, 10, False, (10, 23))
+    report = detect_period(PeriodicTable(pattern, 21))
+    assert report == PeriodReport(0, 10, False)
+    assert report.window == (10, 23)
 
 
 def test_detect_period_tries_multiples_of_the_pattern_period():
@@ -568,13 +563,16 @@ def test_period_checks_match_the_numpy_reference(pattern, n):
 
 
 def test_moves_of_a_run_of_phases(monkeypatch):
-    table = PeriodicTable(PeriodicPattern(14, frozenset({0, 5})), 60)
+    # the kernel's moves reads one phase row; move_classes asks it once
+    # per phase, and each row matches the numpy reference
+    pattern = PeriodicPattern(14, frozenset({0, 5}))
+    table = PeriodicTable(pattern, 60)
+    _, R, F = reference_fill.fill(pattern, 60)
     for L in (0, 1, 2, 3, 30, 61):
-        every = table.move_classes(L)
-        assert len(every) == 14 and all(len(row) == L for row in every)
-        for first, count in ((0, 1), (13, 1), (3, 5), (0, 14), (5, 0)):
-            assert table._moves(L, first, count).tolist() == \
-                sum(every[first:first + count], []), (L, first, count)
+        want = reference_fill.move_classes(R, F, L).tolist()
+        assert table.move_classes(L) == want, L
+        for q in (0, 5, 13):
+            assert table._moves(L, q).tolist() == want[q], (L, q)
     # a single word's table is asked for phase 0's moves alone;
     # 0010010001 has no shorter period, so it is padded to period 11, with
     # phase t at word position t
@@ -583,13 +581,13 @@ def test_moves_of_a_run_of_phases(monkeypatch):
     asked = []
     moves = PeriodicTable._moves
 
-    def recorded(self, L, first, count):
-        asked.append((first, count))
-        return moves(self, L, first, count)
+    def recorded(self, L, q):
+        asked.append(q)
+        return moves(self, L, q)
 
     monkeypatch.setattr(PeriodicTable, "_moves", recorded)
     assert GrundyTable().move_classes(Word("0010010001")) == want
-    assert asked == [(0, 1)]
+    assert asked == [0]
 
 
 def test_periodic_table_save_load(tmp_path):

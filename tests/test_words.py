@@ -107,3 +107,25 @@ def test_word_from_pattern_origin_shift():
     p6 = PeriodicPattern(6, frozenset({4}), file_origin=4)
     assert str(word_from_pattern(p6, 7)) == "1000001"
 
+
+def test_every_pattern_expands_to_valid_words():
+    # PeriodicPattern refuses stopped residues that are adjacent mod the
+    # period, so no expansion, from any origin, stops two adjacent files
+    patterns = 0
+    for p in range(1, 9):
+        for mask in range(1 << p):
+            stopped = frozenset(r for r in range(p) if mask >> r & 1)
+            try:
+                PeriodicPattern(p, stopped)
+            except ValueError:
+                continue
+            patterns += 1
+            for origin in range(1, p + 1):
+                pattern = PeriodicPattern(p, stopped, origin)
+                for n in range(25):
+                    assert word_from_pattern(pattern, n).is_valid, \
+                        (p, sorted(stopped), origin, n)
+    # the valid patterns of period p are counted by the Lucas numbers
+    # (1 for p = 1, whose one residue is adjacent to itself)
+    assert patterns == 1 + 3 + 4 + 7 + 11 + 18 + 29 + 47
+
