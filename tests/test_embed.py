@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import pytest
@@ -75,11 +76,27 @@ def test_fen_multi_digit_runs():
     tiny.put(1, 1, "K")
     assert render(tiny, "fen") == "K"
     assert render(tiny, "ascii") == "K"
+
+
+def test_render_parse_round_trip():
+    def rows_of(text, fmt):
+        if fmt == "ascii":
+            lines = text.splitlines()
+        else:
+            lines = re.sub(r"\d+", lambda run: "." * int(run[0]),
+                           text).split("/")
+        return [list(ln) for ln in reversed(lines)]
+
+    diag = embed(["1000", "0"], 9, 12)
+    for fmt in ("ascii", "fen"):
+        assert rows_of(render(diag, fmt), fmt) == diag.rows
     # runs of ten or more empty squares
     wide = embed(["0", "1010", "0"], 9, 30)
     assert render(wide, "fen").startswith("29k/")
+    for fmt in ("ascii", "fen"):
+        assert rows_of(render(wide, fmt), fmt) == wide.rows
     with pytest.raises(ValueError):
-        render(tiny, "png")
+        render(diag, "png")
 
 
 def test_extraction_is_identity():
